@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .lattice import gram_determinant
 
 
 @dataclass(frozen=True)
@@ -53,18 +54,13 @@ class ApproximationResult:
     gram_error: float    # Frobenius norm of (1/kappa^2) B B^t - G
 
 
-def _round_half_even(value: float) -> int:
-    # Python's round() is round-half-to-even on floats.
-    return int(round(value))
-
-
 def approximate(target: TargetGram, kappa: float) -> ApproximationResult:
     """Build the integer approximation at scale kappa."""
     if kappa < 1:
         raise InputError(f"kappa must be >= 1, got {kappa}")
     n = target.n
     l_tilde = [
-        [_round_half_even(kappa * target.L[i][j]) for j in range(n)]
+        [int(round(kappa * target.L[i][j])) for j in range(n)]  # half to even
         for i in range(n)
     ]
     b = []
@@ -77,9 +73,6 @@ def approximate(target: TargetGram, kappa: float) -> ApproximationResult:
     v = [1]
     for i in range(n):
         v.append(-sum(b[i][j] * v[j] for j in range(i + 1)))
-    for i in range(n):
-        if sum(bi * vi for bi, vi in zip(b[i], v)) != 0:
-            raise AssertionError("kernel identity B v = 0 violated")
     scaled = np.array(
         [[float(x) / kappa for x in row] for row in b], dtype=float
     )
@@ -95,36 +88,12 @@ def approximate(target: TargetGram, kappa: float) -> ApproximationResult:
 
 
 def saturation_determinant(result: ApproximationResult) -> int:
-    """Exact determinant of B with its first column deleted (always +-1)."""
-    rows = [row[1:] for row in result.B]
-    n = len(rows)
-    # Unit upper-triangular up to the lower L-tilde block; expand exactly.
-    mat = [list(r) for r in rows]
-    det = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if abs(mat[r][col]) == 1:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return _bareiss(rows)
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            det = -det
-        pivot = mat[col][col]
-        det *= pivot
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col] * pivot
-                mat[r] = [a - factor * bb for a, bb in zip(mat[r], mat[col])]
-    return det
+    """Exact determinant of B with its first column deleted (always +-1).
 
-
-def _bareiss(rows) -> int:
-    from .lattice import gram_determinant
-
-    return gram_determinant(rows)
+    That matrix is unit lower-triangular: row i holds L-tilde entries
+    left of the diagonal and the appended 1 on it.
+    """
+    return gram_determinant([row[1:] for row in result.B])
 
 
 @dataclass(frozen=True)

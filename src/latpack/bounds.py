@@ -162,7 +162,8 @@ def convert(kind_from: str, kind_to: str, value: float, n: int) -> float:
     elif kind_from == "center":
         delta = value
     else:
-        delta = math.exp((n / 2.0) * math.log(value / 4.0))
+        # 2^(-n) gamma^(n/2); with gamma = C_n(x) it is the density bound.
+        delta = math.exp(-n * math.log(2.0) + (n / 2.0) * math.log(value))
     if kind_to == "density":
         return delta * numth.ball_volume(n)
     if kind_to == "center":

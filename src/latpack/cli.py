@@ -11,13 +11,12 @@ import argparse
 import csv
 import io
 import json
-import math
-import random
 import sys
 import time
 from dataclasses import asdict
 
-from . import __version__, approx, bounds, constants, lattice, museq, thetaflow
+from . import __version__, approx, bounds, lattice, museq, thetaflow
+from .acceptance import acceptance_sweep
 from .errors import InputError, ResourceBudgetError
 from .lattice import SVector
 
@@ -86,7 +85,6 @@ def _cmd_museq_obstructions(args, started):
     s = _parse_s(args.s)
     interval = museq.IntervalSpec.from_bounds(args.lo, args.hi, args.mu, len(s.entries))
     report = museq.interval_obstructions(s, args.mu, interval)
-    extension = museq.extend_in_interval(s, args.mu, interval)
     return _envelope(
         "museq obstructions",
         {"s": list(s.entries), "mu": args.mu, "lo": args.lo, "hi": args.hi},
@@ -106,7 +104,7 @@ def _cmd_museq_obstructions(args, started):
             "sigma": interval.sigma,
             "sigma_tilde": interval.sigma_tilde,
             "epsilon": interval.epsilon,
-            "smallest_unobstructed": extension,
+            "smallest_unobstructed": museq.smallest_unobstructed(report, interval),
         },
         started,
         {"enumeration": "exact"},
@@ -159,9 +157,7 @@ def _cmd_bounds_y(args, started):
 
 def _cmd_bounds_cn(args, started):
     value = bounds.eval_C(args.n, args.x)
-    delta_bound = math.exp(
-        -args.n * math.log(2.0) + (args.n / 2.0) * math.log(value)
-    )
+    delta_bound = bounds.convert("hermite", "center", value, args.n)
     return _envelope(
         "bounds cn",
         {"n": args.n, "x": args.x},
@@ -292,260 +288,6 @@ def _cmd_approx(args, started):
 
 
 # ------------------------------------------------------------ verify paper
-
-
-def _check(name, value, expected, tol, runtime=None):
-    passed = abs(value - expected) <= tol
-    entry = {
-        "name": name,
-        "value": value,
-        "expected": expected,
-        "tolerance": tol,
-        "passed": passed,
-    }
-    if runtime is not None:
-        entry["runtime_s"] = round(runtime, 3)
-    return entry
-
-
-def _flag(name, passed, detail=None):
-    entry = {"name": name, "passed": bool(passed)}
-    if detail is not None:
-        entry["detail"] = detail
-    return entry
-
-
-def acceptance_sweep():
-    """Run the full verification sweep; returns a list of check dicts."""
-    checks = []
-
-    # 1: tightness at n = 2.
-    t0 = time.monotonic()
-    c2 = bounds.eval_C(2, 1.0)
-    checks.append(
-        _check("C_2(1) = 2/sqrt(3)", c2, 2.0 / math.sqrt(3.0), 1e-9,
-               time.monotonic() - t0)
-    )
-    res2 = bounds.check_theorem1(2, 0.5, 1.0 / (2.0 * math.sqrt(3.0)))
-    checks.append(_check("lifting residual at n=2", res2, 0.0, 1e-12))
-
-    # 2-4: center-density bounds in dimensions 3, 9, 25.
-    delta2 = constants.reference(2).center_density
-    gamma2 = bounds.convert("center", "hermite", delta2, 2)
-    for n, x, expected, tol, name in (
-        (3, gamma2, 0.1695, 5e-4, "delta_3 bound"),
-        (9, 2.0, 0.0388, 5e-4, "delta_9 bound"),
-        (25, 4.0, 0.657, 5e-3, "delta_25 bound"),
-    ):
-        t0 = time.monotonic()
-        value = math.exp(
-            -n * math.log(2.0) + (n / 2.0) * math.log(bounds.eval_C(n, x))
-        )
-        checks.append(_check(name, value, expected, tol, time.monotonic() - t0))
-
-    # 5: fixed point of the transfer map.
-    xi, deriv = thetaflow.fixpoint()
-    checks.append(_check("fixed point xi = 1/tau(1)", xi, 23.13882534, 1e-7))
-    checks.append(_check("derivative at the fixed point", deriv, 0.9135652, 1e-6))
-
-    # 6: convergence table out to dimension 1024.
-    t0 = time.monotonic()
-    trace = thetaflow.iterate_d(1024)
-    table_ok = True
-    reference_rows = {
-        1: (2.00000000, 2.00000000, 0.0),
-        2: (3.62759873, 3.99997210, -0.7447467),
-        4: (8.08369319, 7.92472241, 0.6358831),
-        8: (18.71971890, 14.38756801, 34.6572071),
-        16: (30.69030131, 20.71395996, 159.6214617),
-        32: (29.45114255, 22.98242063, 206.9991014),
-        64: (25.53248635, 23.13821340, 153.2334688),
-        128: (24.17810739, 23.13882533, 133.0281029),
-        256: (23.63011883, 23.13882534, 125.7711333),
-        512: (23.37820694, 23.13882534, 122.5633803),
-        1024: (23.25703467, 23.13882534, 121.0463495),
-    }
-    for n, (d_ref, w_ref, sd_ref) in reference_rows.items():
-        row = trace.row(n)
-        if abs(row.d - d_ref) > 1e-6 or abs(row.omega_iterate - w_ref) > 1e-6:
-            table_ok = False
-        if abs(row.scaled_diff - sd_ref) > 5e-3:
-            table_ok = False
-    checks.append(
-        _flag("convergence table to n=1024", table_ok,
-              f"runtime {time.monotonic() - t0:.2f}s")
-    )
-
-    # 7: asymptotic fit on the 128..1024 ladder.
-    fit = thetaflow.asymptotic_fit(trace)
-    checks.append(_check("fit constant term", fit.c0, xi, 1e-4))
-    checks.append(_check("fit 1/n coefficient", fit.c1, 119.58193,
-                         0.01 * 119.58193))
-
-    # 8: greedy sequences against their closed forms.
-    t0 = time.monotonic()
-    greedy_ok = True
-    for n in range(1, 11):
-        seq = museq.greedy_sequence(2, n)
-        if seq.s.entries != (1,) * (n + 1) or not seq.certified:
-            greedy_ok = False
-    for n in range(1, 7):
-        seq = museq.greedy_sequence(3, n)
-        if seq.s.entries != tuple(range(1, n + 2)) or not seq.certified:
-            greedy_ok = False
-    checks.append(
-        _flag("greedy closed forms (mu=2, mu=3)", greedy_ok,
-              f"runtime {time.monotonic() - t0:.2f}s")
-    )
-
-    # 9: greedy entry and density bounds for mu up to 12, n up to 8.
-    t0 = time.monotonic()
-    bounds_ok = True
-    for mu in range(2, 13):
-        seq = museq.greedy_sequence(mu, 8)
-        for n in range(1, 9):
-            first, second = museq.greedy_entry_bounds(mu, n)
-            entry = seq.s.entries[n]
-            if entry > first + 1e-9 or entry > second + 1e-9:
-                bounds_ok = False
-        report = lattice.density_report(seq.s)
-        if report.center_density < museq.greedy_density_bound(mu, 8) - 1e-15:
-            bounds_ok = False
-    checks.append(
-        _flag("greedy entry and density bounds", bounds_ok,
-              f"runtime {time.monotonic() - t0:.2f}s")
-    )
-
-    # 10: exact identities on random instances.
-    rng = random.Random(12345)
-    ident_ok = True
-    for _ in range(100):
-        n = rng.randint(1, 8)
-        s = SVector((1,) + tuple(rng.randint(1, 50) for _ in range(n)))
-        rows = lattice.basis_from_s(s)
-        if lattice.gram_determinant(lattice.gram(rows)) != lattice.determinant(s):
-            ident_ok = False
-    svp_ok = True
-    for _ in range(50):
-        n = rng.randint(1, 4)
-        s = SVector((1,) + tuple(rng.randint(1, 12) for _ in range(n)))
-        minimum, _ = lattice.shortest_vector(lattice.basis_from_s(s))
-        if minimum != _brute_minimum(s):
-            svp_ok = False
-    checks.append(_flag("determinant identity on 100 random s", ident_ok))
-    checks.append(_flag("enumeration equals brute force on 50 instances", svp_ok))
-
-    # 11: finite obstruction invariants on 20 sampled triples.
-    t0 = time.monotonic()
-    obstr_ok = True
-    for mu in range(3, 13):
-        for dim in (2, 3):
-            seq = museq.greedy_sequence(mu, dim)
-            s = seq.s
-            nxt = museq.greedy_extend(s, mu)
-            interval = museq.IntervalSpec.from_bounds(
-                max(1, nxt - 3), nxt + 6, mu, len(s.entries)
-            )
-            report = museq.interval_obstructions(s, mu, interval)
-            primitive_total = sum(v[1] for v in report.witness_counts.values())
-            for k, ik in report.obstructed.items():
-                if len(ik) > report.witness_counts[k][0]:
-                    obstr_ok = False
-            if report.union_size > primitive_total:
-                obstr_ok = False
-            blocked = set(report.union)
-            for t in interval.integers():
-                if museq.certify(s.extended(t), mu) != (t not in blocked):
-                    obstr_ok = False
-    checks.append(
-        _flag("obstruction-set invariants on 20 triples", obstr_ok,
-              f"runtime {time.monotonic() - t0:.2f}s")
-    )
-
-    # 12: lifting inequality instances and agreement of the three forms.
-    inst_ok = True
-    forms_ok = True
-    delta3 = constants.reference(3).center_density
-    delta8 = constants.reference(8).center_density
-    delta24 = constants.reference(24).center_density
-    for n, prev, cur in (
-        (3, delta2, delta3),
-        (9, delta8, 0.0442),
-        (25, delta24, 0.707),
-    ):
-        values = [
-            bounds.check_theorem1(n, prev, cur, form=form)
-            for form in ("center", "density", "hermite")
-        ]
-        if values[0] < 0.0:
-            inst_ok = False
-        if max(values) - min(values) > 1e-10 * max(1.0, abs(values[0])):
-            forms_ok = False
-    checks.append(_flag("lifting inequality instances", inst_ok))
-    checks.append(_flag("three equivalent forms agree", forms_ok))
-
-    # 13: constructive approximation properties.
-    approx_ok = True
-    rng = random.Random(777)
-    targets = [
-        [[1.0, 0.0], [0.0, 1.0]],
-        [[2.0, 1.0], [1.0, 2.0]],
-    ]
-    for n in (3, 4, 5):
-        a = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
-        g = [
-            [sum(a[i][k] * a[j][k] for k in range(n)) + (4.0 if i == j else 0.0)
-             for j in range(n)]
-            for i in range(n)
-        ]
-        targets.append(g)
-    for g in targets:
-        target = approx.TargetGram.from_matrix(g)
-        r500 = approx.approximate(target, 500.0)
-        r1000 = approx.approximate(target, 1000.0)
-        for result in (r500, r1000):
-            if any(
-                sum(b * v for b, v in zip(row, result.v)) != 0
-                for row in result.B
-            ):
-                approx_ok = False
-            if abs(approx.saturation_determinant(result)) != 1:
-                approx_ok = False
-        if r1000.gram_error > 0.75 * r500.gram_error:
-            approx_ok = False
-    checks.append(_flag("approximation exactness and convergence", approx_ok))
-
-    # 14: theta bracket and inversion on a 50-point log grid.
-    theta_ok = True
-    for i in range(50):
-        x = math.exp(math.log(0.5) + i * (math.log(50.0) - math.log(0.5)) / 49.0)
-        t = thetaflow.tau(x)
-        if not (x / 2.0 - 1.0 < t < x / 2.0):
-            theta_ok = False
-        if t > 1e-12 and abs(thetaflow.psi(t) - x) > 1e-10 * max(1.0, x):
-            theta_ok = False
-    checks.append(_flag("theta bracket and inversion", theta_ok))
-
-    return checks
-
-
-def _brute_minimum(s: SVector) -> int:
-    """Exhaustive lattice minimum: z_0 is forced by orthogonality, and the
-    free coordinates of a shortest vector are bounded by the square root
-    of the smallest basis-vector norm."""
-    import itertools
-
-    tail = s.entries[1:]
-    bound = math.isqrt(min(e * e + 1 for e in tail)) + 1
-    best = None
-    for z in itertools.product(range(-bound, bound + 1), repeat=len(tail)):
-        if not any(z):
-            continue
-        z0 = -sum(a * b for a, b in zip(z, tail))
-        norm = z0 * z0 + sum(x * x for x in z)
-        if best is None or norm < best:
-            best = norm
-    return best
 
 
 def _cmd_verify_paper(args, started):

@@ -172,6 +172,11 @@ def shortest_vector(rows, upper=None, budget=None):
     (upper, None) is returned when no vector of norm < upper exists
     (a certified "minimum >= upper" verdict).
     """
+    if not rows:
+        raise InputError(
+            "the basis is empty: the lattice has dimension 0 "
+            "(s needs at least two entries)"
+        )
     if budget is None:
         budget = enum_budget()
     reduced = lll_reduce(rows)

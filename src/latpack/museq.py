@@ -263,11 +263,13 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec, budget=No
     )
 
 
+def smallest_unobstructed(report: ObstructionReport, interval: IntervalSpec):
+    """Smallest integer of the interval outside the report's union, or None."""
+    blocked = set(report.union)
+    return next((t for t in interval.integers() if t not in blocked), None)
+
+
 def extend_in_interval(s: SVector, mu: int, interval: IntervalSpec, budget=None):
     """Smallest unobstructed integer in the interval, or None."""
     report = interval_obstructions(s, mu, interval, budget=budget)
-    blocked = set(report.union)
-    for t in interval.integers():
-        if t not in blocked:
-            return t
-    return None
+    return smallest_unobstructed(report, interval)

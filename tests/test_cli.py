@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
 
-from latpack import cli
+from latpack import cli, museq
+from latpack.acceptance import D_TABLE
 
 
 def run_json(capsys, argv):
@@ -46,7 +49,11 @@ class TestMuseq:
         assert payload["outputs"]["certified"] is False
         assert payload["outputs"]["violating_norm"] == 2
 
-    def test_obstructions(self, capsys):
+    def test_obstructions(self, capsys, monkeypatch):
+        calls = []
+        enumerate_ball = museq.interval_obstructions
+        monkeypatch.setattr(museq, "interval_obstructions",
+                            lambda *a, **kw: calls.append(a) or enumerate_ball(*a, **kw))
         code, payload = run_json(
             capsys,
             ["museq", "obstructions", "--s", "1,2", "--mu", "3",
@@ -56,6 +63,7 @@ class TestMuseq:
         assert payload["outputs"]["obstructed"]["1"] == [1, 2]
         assert payload["outputs"]["union_size"] == 2
         assert payload["outputs"]["smallest_unobstructed"] == 3
+        assert len(calls) == 1  # the ball is enumerated once
 
 
 class TestLattice:
@@ -104,9 +112,9 @@ class TestTheta:
         code, payload = run_json(capsys, ["theta", "table", "--max-n", "16"])
         assert code == 0
         rows = {row["n"]: row for row in payload["outputs"]["rows"]}
-        assert rows[2]["d"] == pytest.approx(3.62759873, abs=1e-6)
-        assert rows[8]["d"] == pytest.approx(18.71971890, abs=1e-6)
-        assert rows[16]["omega_iterate"] == pytest.approx(20.71395996, abs=1e-6)
+        assert rows[2]["d"] == pytest.approx(D_TABLE[2][0], abs=1e-6)
+        assert rows[8]["d"] == pytest.approx(D_TABLE[8][0], abs=1e-6)
+        assert rows[16]["omega_iterate"] == pytest.approx(D_TABLE[16][1], abs=1e-6)
 
     def test_table_csv(self, capsys):
         code = cli.run(["theta", "table", "--max-n", "4", "--csv"])
@@ -155,6 +163,8 @@ class TestApprox:
 class TestExitCodes:
     def test_input_error(self, capsys):
         assert cli.run(["lattice", "report", "--s", "2,3"]) == 1
+        assert cli.run(["lattice", "report", "--s", "1"]) == 1
+        assert cli.run(["museq", "certify", "--s", "1", "--mu", "3"]) == 1
 
     def test_parse_error(self, capsys):
         assert cli.run(["lattice", "report", "--s", "1,x"]) == 1
@@ -168,21 +178,26 @@ class TestExitCodes:
             cli.run(["lattice", "report", "--bogus", "1"])
 
 
+@pytest.fixture(scope="module")
+def verify_paper():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["verify", "paper"])
+    return code, json.loads(out.getvalue())
+
+
 class TestVerifySweep:
-    def test_sweep_reports_known_discrepancy_only(self, capsys):
-        code, payload = run_json(capsys, ["verify", "paper"])
+    def test_sweep_reports_known_discrepancy_only(self, verify_paper):
+        code, payload = verify_paper
         assert code == 0
         checks = payload["outputs"]["checks"]
         failing = [c["name"] for c in checks if not c["passed"]]
         assert failing == ["derivative at the fixed point"]
         assert payload["outputs"]["passed"] == len(checks) - 1
 
-    def test_sweep_deterministic(self, capsys):
-        code1, p1 = run_json(capsys, ["verify", "paper"])
-        code2, p2 = run_json(capsys, ["verify", "paper"])
-        for p in (p1, p2):
-            p["meta"].pop("elapsed_ms")
-            for c in p["outputs"]["checks"]:
-                c.pop("runtime_s", None)
-                c.pop("detail", None)
-        assert p1 == p2
+    def test_sweep_deterministic(self, verify_paper, sweep):
+        def untimed(checks):
+            return [{k: v for k, v in c.items() if k != "runtime_s"} for c in checks]
+
+        _, payload = verify_paper
+        assert untimed(payload["outputs"]["checks"]) == untimed(sweep)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -6,24 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latpack import lattice
+from latpack.acceptance import brute_minimum
 from latpack.errors import InputError, ResourceBudgetError
 from latpack.lattice import SVector
-
-
-def brute_minimum(s):
-    """Independent oracle: z_0 is forced by orthogonality, free
-    coordinates bounded by the smallest basis-vector norm."""
-    tail = s.entries[1:]
-    bound = math.isqrt(min(e * e + 1 for e in tail)) + 1
-    best = None
-    for z in itertools.product(range(-bound, bound + 1), repeat=len(tail)):
-        if not any(z):
-            continue
-        z0 = -sum(a * b for a, b in zip(z, tail))
-        norm = z0 * z0 + sum(x * x for x in z)
-        if best is None or norm < best:
-            best = norm
-    return best
 
 
 class TestSVector:

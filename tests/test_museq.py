@@ -62,13 +62,14 @@ class TestGreedy:
         assert museq.greedy_extend(SVector((1, 2)), 3) == 3
         assert museq.greedy_extend(SVector((1, 2, 3, 4)), 3) == 5
 
-    def test_mu2_is_all_ones(self):
-        seq = museq.greedy_sequence(2, 5)
-        assert seq.s.entries == (1,) * 6
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_mu2_is_all_ones(self, n):
+        seq = museq.greedy_sequence(2, n)
+        assert seq.s.entries == (1,) * (n + 1)
         assert seq.certified
         report = lattice.density_report(seq.s)
         assert report.minimum == 2
-        assert report.determinant == 6
+        assert report.determinant == n + 1
 
     def test_mu3_is_consecutive(self):
         seq = museq.greedy_sequence(3, 4)

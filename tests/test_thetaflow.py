@@ -3,21 +3,8 @@ import math
 import pytest
 
 from latpack import thetaflow
+from latpack.acceptance import D_TABLE
 from latpack.errors import InputError
-
-TABLE = {
-    1: (2.00000000, 2.00000000, 0.0),
-    2: (3.62759873, 3.99997210, -0.7447467),
-    4: (8.08369319, 7.92472241, 0.6358831),
-    8: (18.71971890, 14.38756801, 34.6572071),
-    16: (30.69030131, 20.71395996, 159.6214617),
-    32: (29.45114255, 22.98242063, 206.9991014),
-    64: (25.53248635, 23.13821340, 153.2334688),
-    128: (24.17810739, 23.13882533, 133.0281029),
-    256: (23.63011883, 23.13882534, 125.7711333),
-    512: (23.37820694, 23.13882534, 122.5633803),
-    1024: (23.25703467, 23.13882534, 121.0463495),
-}
 
 
 class TestTau:
@@ -65,7 +52,7 @@ class TestPsi:
 
 class TestOmega:
     def test_value_at_two(self):
-        assert thetaflow.omega(2.0) == pytest.approx(3.99997210, abs=1e-7)
+        assert thetaflow.omega(2.0) == pytest.approx(D_TABLE[2][1], abs=1e-7)
 
     def test_fixpoint_property(self):
         xi, _ = thetaflow.fixpoint()
@@ -115,7 +102,7 @@ class TestFStep:
     def test_table_step(self):
         d3 = thetaflow.f_step(2, thetaflow.f_step(1, 2.0))
         d4 = thetaflow.f_step(3, d3)
-        assert d4 == pytest.approx(8.08369319, abs=1e-6)
+        assert d4 == pytest.approx(D_TABLE[4][0], abs=1e-6)
 
     def test_defining_residual(self):
         import math as m
@@ -146,7 +133,7 @@ def trace():
 
 class TestIterateD:
     def test_table_rows(self, trace):
-        for n, (d_ref, w_ref, sd_ref) in TABLE.items():
+        for n, (d_ref, w_ref, sd_ref) in D_TABLE.items():
             row = trace.row(n)
             assert row.d == pytest.approx(d_ref, abs=1e-6)
             assert row.omega_iterate == pytest.approx(w_ref, abs=1e-6)
@@ -177,8 +164,8 @@ class TestPerturbed:
     def test_omega_reproduces_table_column(self):
         maps = [thetaflow.omega] * 7
         values = thetaflow.iterate_perturbed(maps, 2.0, 7)
-        assert values[0] == pytest.approx(3.99997210, abs=1e-7)
-        assert values[6] == pytest.approx(14.38756801, abs=1e-6)
+        assert values[0] == pytest.approx(D_TABLE[2][1], abs=1e-7)
+        assert values[6] == pytest.approx(D_TABLE[8][1], abs=1e-6)
 
     def test_constant_maps(self):
         maps = [lambda x: 5.0] * 3
