@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .lattice import gram_determinant
+from .lattice import gram_determinant, log_center_density
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def verify_approximation(target: TargetGram, result: ApproximationResult,
         report = lat.density_report(lat.SVector(result.s))
         lattice_delta = report.center_density
     target_min = _float_gram_minimum(g)
-    target_delta = math.sqrt(target_min**n / (4.0**n * np.linalg.det(g)))
+    target_delta = math.exp(log_center_density(n, target_min, np.linalg.det(g)))
     return VerificationReport(
         kappa=result.kappa,
         gram_error=gram_error,

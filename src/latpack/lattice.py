@@ -2,8 +2,11 @@
 
 The lattice is Lambda(s) = {z in Z^(n+1) : <z, s> = 0}, realized by the
 explicit kernel basis b_i = s_i e_0 - e_i.  Determinants are exact
-(Bareiss), the minimum is certified by enumeration over an LLL-reduced
-basis, and density/center-density/Hermite values are computed in log
+(Bareiss).  LLL and enumeration share one exact Gram-Schmidt source, the
+integral d_i (products of squared Gram-Schmidt norms) and lambda_ij =
+d_j mu_ij; the minimum is certified by enumeration over the LLL-reduced
+basis, pruned in floats with a relative margin and decided in exact
+integers.  Density/center-density/Hermite values are computed in log
 space so large entries cannot overflow.
 """
 
@@ -21,8 +24,19 @@ DEFAULT_ENUM_BUDGET = 10**8
 
 
 def enum_budget() -> int:
+    """The LATPACK_ENUM_BUDGET node budget (a positive integer), or the default."""
     value = os.environ.get("LATPACK_ENUM_BUDGET")
-    return int(value) if value else DEFAULT_ENUM_BUDGET
+    if not value:
+        return DEFAULT_ENUM_BUDGET
+    try:
+        budget = int(value)
+    except ValueError:
+        raise InputError(
+            f"LATPACK_ENUM_BUDGET must be an integer, got {value!r}"
+        ) from None
+    if budget < 1:
+        raise InputError(f"LATPACK_ENUM_BUDGET must be >= 1, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -93,66 +107,83 @@ def determinant(s: SVector) -> int:
     return sum(e * e for e in s.entries)
 
 
-def _gram_schmidt(b):
-    """Exact rational Gram-Schmidt data (mu coefficients, squared norms)."""
-    n = len(b)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar = []
-    c = []
+def integral_gram_schmidt(g):
+    """Integral Gram-Schmidt data (d, lam) of an integer Gram matrix.
+
+    d[0] = 1 and d[i+1] = c_0 c_1 ... c_i, the Gram determinant of the
+    first i+1 rows (c_i is the squared norm of the i-th Gram-Schmidt
+    vector); lam[i][j] = d[j+1] mu_ij for j < i.  Every entry is an
+    integer (H. Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7), so c_i = d[i+1]/d[i] and mu_ij = lam[i][j]/d[j+1] are
+    exact.
+    """
+    n = len(g)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        v = [Fraction(x) for x in b[i]]
-        for j in range(i):
-            if c[j] == 0:
+        for j in range(i + 1):
+            u = g[i][j]
+            for l in range(j):
+                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
                 raise InputError("basis rows are linearly dependent")
-            mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], bstar[j])) / c[j]
-            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-        bstar.append(v)
-        c.append(sum(x * x for x in v))
-    if c and c[-1] == 0:
-        raise InputError("basis rows are linearly dependent")
-    return mu, c
+            else:
+                d[i + 1] = u
+    return d, lam
+
+
+def _round_div(a, b):
+    """round(Fraction(a, b)) for b > 0: nearest integer, ties to even."""
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q % 2):
+        q += 1
+    return q
 
 
 def lll_reduce(rows, delta=Fraction(99, 100)) -> list[tuple[int, ...]]:
     """LLL reduction with Lovasz parameter delta (default 0.99).
 
-    Gram-Schmidt data is kept in exact rationals, so the returned basis
-    spans exactly the same lattice (determinants are preserved).
+    All-integer LLL: the Gram-Schmidt data d/lam of
+    `integral_gram_schmidt` is computed once and updated in place on
+    each size reduction and swap, so every test is exact and the
+    returned basis spans exactly the same lattice.
     """
     b = [list(r) for r in rows]
     n = len(b)
     if n <= 1:
         return [tuple(r) for r in b]
-    mu, c = _gram_schmidt(b)
+    d, lam = integral_gram_schmidt(gram(b))
+    delta = Fraction(delta)
+    dn, dd = delta.numerator, delta.denominator
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q != 0:
+            q = _round_div(lk[j], d[j + 1])
+            if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, c = _gram_schmidt(b)
-        if c[k] >= (delta - mu[k][k - 1] ** 2) * c[k - 1]:
+                lk[j] -= q * d[j + 1]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        t = lk[k - 1]
+        # Lovasz: c_k >= (delta - mu_{k,k-1}^2) c_{k-1}, times d_k d_{k-1}
+        if dd * (d[k + 1] * d[k - 1] + t * t) >= dn * d[k] * d[k]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, c = _gram_schmidt(b)
-            k = max(k - 1, 1)
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lk[: k - 1]
+        new_d = (d[k - 1] * d[k + 1] + t * t) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            old = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - t * old) // d[k]
+            li[k - 1] = (new_d * old + t * li[k]) // d[k + 1]
+        d[k] = new_d
+        k = max(k - 1, 1)
     return [tuple(r) for r in b]
-
-
-def _cholesky_mu(g):
-    """Floating Gram-Schmidt data (mu, squared star norms) from a Gram matrix."""
-    n = len(g)
-    mu = [[0.0] * n for _ in range(n)]
-    c = [0.0] * n
-    for i in range(n):
-        for j in range(i):
-            num = float(g[i][j]) - sum(mu[i][k] * mu[j][k] * c[k] for k in range(j))
-            mu[i][j] = num / c[j]
-        c[i] = float(g[i][i]) - sum(mu[i][k] ** 2 * c[k] for k in range(i))
-        if c[i] <= 0.0:
-            raise InputError("Gram matrix is not positive definite")
-    return mu, c
 
 
 def _canonical(vec):
@@ -163,6 +194,31 @@ def _canonical(vec):
     return vec
 
 
+#: Relative slack on the float pruning bound.  It dwarfs the rounding of
+#: the float Gram-Schmidt data, so no vector whose exact norm is within
+#: the bound is ever pruned; leaves are then tested in exact integers.
+_PRUNE_MARGIN = 1.0 + 1e-12
+
+
+def _node_estimate(d, limit) -> int:
+    """Gaussian-heuristic node count for enumerating norms <= limit.
+
+    Level k of the tree holds about V_k limit^(k/2) / sqrt(c_{n-k} ...
+    c_{n-1}) nodes, with the exact c_i = d[i+1]/d[i] of the basis.
+    """
+    n = len(d) - 1
+    log_radius = 0.5 * math.log(max(limit, 1))
+    log_top = math.log(d[n])
+    total = 0.0
+    for k in range(1, n + 1):
+        log_nodes = (
+            numth.log_ball_volume(k) + k * log_radius
+            - 0.5 * (log_top - math.log(d[n - k]))
+        )
+        total += math.exp(min(log_nodes, 700.0))  # saturate, not overflow
+    return math.ceil(total)
+
+
 def shortest_vector(rows, upper=None, budget=None):
     """Exact lattice minimum by depth-first enumeration.
 
@@ -170,7 +226,9 @@ def shortest_vector(rows, upper=None, budget=None):
     sign-normalized and lexicographically smallest among all minimal
     vectors.  With `upper` set, the search is pruned at that norm and
     (upper, None) is returned when no vector of norm < upper exists
-    (a certified "minimum >= upper" verdict).
+    (a certified "minimum >= upper" verdict).  Past `budget` nodes it
+    raises ResourceBudgetError carrying the Gaussian-heuristic node
+    count of the whole search (at least the nodes already visited).
     """
     if not rows:
         raise InputError(
@@ -182,7 +240,10 @@ def shortest_vector(rows, upper=None, budget=None):
     reduced = lll_reduce(rows)
     g = gram(reduced)
     n = len(g)
-    mu, c = _cholesky_mu(g)
+    d, lam = integral_gram_schmidt(g)
+    # int / int true division is correctly rounded, however large d is
+    c = [d[i + 1] / d[i] for i in range(n)]
+    mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
 
     def exact_norm(coeffs):
         return sum(
@@ -190,11 +251,12 @@ def shortest_vector(rows, upper=None, budget=None):
         )
 
     if upper is not None:
-        bound = float(upper) - 0.5
+        limit = math.ceil(upper) - 1  # largest norm still below upper
         best = None
     else:
         best = min(g[i][i] for i in range(n))
-        bound = float(best) + 0.5
+        limit = best
+    bound = limit * _PRUNE_MARGIN
     candidates = []
     x = [0] * n
     nodes = 0
@@ -202,8 +264,6 @@ def shortest_vector(rows, upper=None, budget=None):
     def descend(i, partial):
         nonlocal best, bound, nodes, candidates
         center = -sum(mu[j][i] * x[j] for j in range(i + 1, n))
-        if c[i] <= 0:
-            raise InputError("degenerate Gram-Schmidt data")
         radius = math.sqrt(max(bound - partial, 0.0) / c[i])
         lo = math.ceil(center - radius - 1e-9)
         hi = math.floor(center + radius + 1e-9)
@@ -211,11 +271,13 @@ def shortest_vector(rows, upper=None, budget=None):
             nodes += 1
             if nodes > budget:
                 raise ResourceBudgetError(
-                    "enumeration exceeded node budget", estimate=nodes, budget=budget
+                    "enumeration exceeded node budget",
+                    estimate=max(_node_estimate(d, limit), nodes),
+                    budget=budget,
                 )
             x[i] = xi
             new_partial = partial + c[i] * (xi - center) ** 2
-            if new_partial > bound + 1e-9:
+            if new_partial > bound:
                 continue
             if i == 0:
                 if all(v == 0 for v in x):
@@ -225,7 +287,7 @@ def shortest_vector(rows, upper=None, budget=None):
                     continue
                 if best is None or norm < best:
                     best = norm
-                    bound = float(best) + 0.5
+                    bound = best * _PRUNE_MARGIN
                     candidates = [tuple(x)]
                 elif norm == best:
                     candidates.append(tuple(x))
@@ -246,6 +308,12 @@ def shortest_vector(rows, upper=None, budget=None):
     return best, min(witnesses)
 
 
+def log_center_density(n, minimum, det) -> float:
+    """log of the center density sqrt(minimum^n / (4^n det)) of a rank-n
+    lattice with squared minimum `minimum` and determinant `det`."""
+    return 0.5 * (n * math.log(minimum) - n * math.log(4) - math.log(det))
+
+
 @dataclass(frozen=True)
 class DensityReport:
     """Exact minimum/determinant plus the derived real densities."""
@@ -264,7 +332,7 @@ def density_report(s: SVector, budget=None) -> DensityReport:
     n = s.dim
     det = determinant(s)
     minimum, witness = shortest_vector(basis_from_s(s), budget=budget)
-    log_delta = 0.5 * (n * math.log(minimum) - n * math.log(4) - math.log(det))
+    log_delta = log_center_density(n, minimum, det)
     delta = math.exp(log_delta)
     density = math.exp(log_delta + numth.log_ball_volume(n))
     hermite = 4.0 * math.exp(2.0 * log_delta / n)

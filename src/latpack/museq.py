@@ -242,8 +242,7 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec, budget=No
     # Asymptotic cutoff reported for comparison with the exact k range.
     prev_dim = n - 1
     log_delta = (
-        0.5 * (prev_dim * math.log(mu) - prev_dim * math.log(4)
-               - math.log(sum(e * e for e in s.entries)))
+        lattice.log_center_density(prev_dim, mu, lattice.determinant(s))
         + numth.log_ball_volume(prev_dim)
     )
     a_value = math.exp(

@@ -161,10 +161,16 @@ class TestApprox:
 
 
 class TestExitCodes:
-    def test_input_error(self, capsys):
+    def test_input_error(self, capsys, monkeypatch):
         assert cli.run(["lattice", "report", "--s", "2,3"]) == 1
         assert cli.run(["lattice", "report", "--s", "1"]) == 1
         assert cli.run(["museq", "certify", "--s", "1", "--mu", "3"]) == 1
+        capsys.readouterr()
+        for budget in ("abc", "-5"):
+            monkeypatch.setenv("LATPACK_ENUM_BUDGET", budget)
+            assert cli.run(["lattice", "report", "--s", "1,2,3"]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "LATPACK_ENUM_BUDGET" in err
 
     def test_parse_error(self, capsys):
         assert cli.run(["lattice", "report", "--s", "1,x"]) == 1

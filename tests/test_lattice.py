@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,7 +66,100 @@ class TestBasisAndGram:
             lattice.determinant(s)
 
 
+def fraction_gram_schmidt(b):
+    """Exact rational Gram-Schmidt data (mu coefficients, squared norms)."""
+    n = len(b)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = []
+    c = []
+    for i in range(n):
+        v = [Fraction(x) for x in b[i]]
+        for j in range(i):
+            if c[j] == 0:
+                raise InputError("basis rows are linearly dependent")
+            mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], bstar[j])) / c[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+        bstar.append(v)
+        c.append(sum(x * x for x in v))
+    if c and c[-1] == 0:
+        raise InputError("basis rows are linearly dependent")
+    return mu, c
+
+
+def fraction_lll_reduce(rows, delta=Fraction(99, 100)):
+    """Reference LLL: rebuilds the rational Gram-Schmidt data after every
+    size reduction and swap.  `lattice.lll_reduce` must match it exactly."""
+    b = [list(r) for r in rows]
+    n = len(b)
+    if n <= 1:
+        return [tuple(r) for r in b]
+    mu, c = fraction_gram_schmidt(b)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu, c = fraction_gram_schmidt(b)
+        if c[k] >= (delta - mu[k][k - 1] ** 2) * c[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, c = fraction_gram_schmidt(b)
+            k = max(k - 1, 1)
+    return [tuple(r) for r in b]
+
+
+@st.composite
+def lower_triangular_rows(draw):
+    """Integer rows like `approx._float_gram_minimum` feeds to enumeration:
+    a Cholesky factor scaled by 10^6 and rounded, so lower triangular with
+    a positive diagonal."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-10**6, max_value=10**6)
+    diagonal = st.integers(min_value=1, max_value=10**6)
+    return [
+        tuple(draw(diagonal) if j == i else draw(entry) if j < i else 0
+              for j in range(n))
+        for i in range(n)
+    ]
+
+
 class TestLLL:
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=10**6),
+                    min_size=1, max_size=10))
+    def test_matches_fraction_oracle_on_kernel_bases(self, tail):
+        rows = lattice.basis_from_s(SVector((1,) + tuple(tail)))
+        assert lattice.lll_reduce(rows) == fraction_lll_reduce(rows)
+
+    def test_matches_fraction_oracle_on_ties(self):
+        # small entries make mu_kj = +-1/2, +-3/2 ... often: the rounding
+        # must break those ties to even, as round(Fraction) does
+        for n in range(1, 4):
+            for tail in itertools.product(range(1, 5), repeat=n):
+                rows = lattice.basis_from_s(SVector((1,) + tail))
+                assert lattice.lll_reduce(rows) == fraction_lll_reduce(rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(lower_triangular_rows())
+    def test_matches_fraction_oracle_on_general_rows(self, rows):
+        assert lattice.lll_reduce(rows) == fraction_lll_reduce(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 2, 3), (2, 4, 6)],
+        [(1, 0), (0, 1), (1, 1)],
+        [(0, 0, 0), (1, 2, 3)],
+        [(1, 2, 3), (0, 0, 0)],
+    ])
+    def test_dependent_rows_rejected(self, rows):
+        with pytest.raises(InputError):
+            fraction_lll_reduce(rows)
+        with pytest.raises(InputError):
+            lattice.lll_reduce(rows)
+        with pytest.raises(InputError):
+            lattice.shortest_vector(rows)
+
     def test_single_row_fixed(self):
         assert lattice.lll_reduce([(1, -1)]) == [(1, -1)]
 
@@ -123,8 +218,36 @@ class TestShortestVector:
 
     def test_budget_exhaustion(self):
         rows = lattice.basis_from_s(SVector((1, 31, 47, 59, 64)))
-        with pytest.raises(ResourceBudgetError):
-            lattice.shortest_vector(rows, budget=3)
+        estimates = []
+        for budget in (3, 5):
+            with pytest.raises(ResourceBudgetError) as info:
+                lattice.shortest_vector(rows, budget=budget)
+            assert info.value.budget == budget
+            assert info.value.estimate > budget
+            estimates.append(info.value.estimate)
+        # a Gaussian-heuristic count of the whole search, not the nodes so far
+        assert estimates[0] == estimates[1]
+
+    def test_witness_exact_past_float_resolution(self):
+        # norms near 2^56: the two minimal vectors tie, and float pruning
+        # without a margin used to drop the lexicographically smaller one
+        n = 2**28 + 1
+        rows = lattice.basis_from_s(SVector((1, n, n * n)))
+        witness = (0, n, -1)
+        assert lattice.shortest_vector(rows) == (n * n + 1, witness)
+        assert lattice.shortest_vector(rows, upper=n * n + 1) == (n * n + 1, None)
+        assert lattice.shortest_vector(rows, upper=n * n + 2) == \
+            (n * n + 1, witness)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(min_value=2**40, max_value=2**44),
+                    min_size=1, max_size=3))
+    def test_upper_agrees_with_plain_search_on_large_entries(self, tail):
+        rows = lattice.basis_from_s(SVector((1,) + tuple(tail)))
+        minimum, witness = lattice.shortest_vector(rows)
+        assert lattice.shortest_vector(rows, upper=minimum + 1) == \
+            (minimum, witness)
+        assert lattice.shortest_vector(rows, upper=minimum) == (minimum, None)
 
     def test_minimum_nonincreasing_along_prefixes(self):
         # appending an entry embeds the old lattice via a trailing zero
@@ -139,6 +262,14 @@ class TestShortestVector:
 
 
 class TestDensityReport:
+    @given(st.integers(min_value=1, max_value=30),
+           st.integers(min_value=1, max_value=10**6),
+           st.integers(min_value=1, max_value=10**12))
+    def test_log_center_density_matches_direct_formula(self, n, minimum, det):
+        direct = math.sqrt(minimum**n / (4**n * det))
+        assert math.exp(lattice.log_center_density(n, minimum, det)) == \
+            pytest.approx(direct, rel=1e-12)
+
     def test_one_dim_perfect(self):
         report = lattice.density_report(SVector((1, 1)))
         assert report.density == pytest.approx(1.0)
