@@ -152,8 +152,6 @@ def lll_reduce(rows, delta=Fraction(99, 100)) -> list[tuple[int, ...]]:
     """
     b = [list(r) for r in rows]
     n = len(b)
-    if n <= 1:
-        return [tuple(r) for r in b]
     d, lam = integral_gram_schmidt(gram(b))
     delta = Fraction(delta)
     dn, dd = delta.numerator, delta.denominator

@@ -1,10 +1,10 @@
 """Greedy construction of minimum-certified sequences.
 
 A mu-sequence is s_0 = 1, s_1, ... such that every prefix's orthogonal
-lattice in Z^(n+1) has minimum >= mu.  The greedy extension picks the
-smallest value avoiding the finite forbidden set of (value, k) pairs
-that would create a short vector; the interval machinery enumerates the
-obstruction sets I_k and their witness sets X_k(a) exactly.
+lattice in Z^(n+1) has minimum >= mu.  The greedy step and the interval
+obstruction sets I_k / X_k(a) both read one finite set: the norms and
+dot products <z, s> of the half-ball {z : 0 < |z|^2 < mu - 1}, one z
+per +/- pair, walked depth-first by a single enumerator.
 """
 
 import math
@@ -22,6 +22,22 @@ class MuSequence:
     certified: bool = False
 
 
+def _check_mu(mu):
+    if mu < 2:
+        raise InputError(f"mu must be >= 2, got {mu}")
+
+
+def _check_interval(lo, hi):
+    if not (0 < lo <= hi < math.inf):  # nan fails too
+        raise InputError(f"need finite 0 < lo <= hi, got [{lo}, {hi}]")
+
+
+def _scale(mu, n):
+    """mu^(n/2) V_n, the unit of the sigma parametrization."""
+    _check_mu(mu)
+    return math.exp((n / 2.0) * math.log(mu) + numth.log_ball_volume(n))
+
+
 @dataclass(frozen=True)
 class IntervalSpec:
     """Extension interval [lo, hi] with its sigma parametrization."""
@@ -33,13 +49,13 @@ class IntervalSpec:
     epsilon: float
 
     def __post_init__(self):
-        if not (0 < self.lo <= self.hi):
-            raise InputError(f"need 0 < lo <= hi, got [{self.lo}, {self.hi}]")
+        _check_interval(self.lo, self.hi)
 
     @classmethod
     def from_sigmas(cls, sigma_tilde, sigma, mu, n):
         """Interval [sigma_tilde mu^(n/2) V_n, sigma mu^(n/2) V_n]."""
-        scale = math.exp((n / 2.0) * math.log(mu) + numth.log_ball_volume(n))
+        _check_interval(sigma_tilde, sigma)
+        scale = _scale(mu, n)
         return cls(
             lo=sigma_tilde * scale,
             hi=sigma * scale,
@@ -51,7 +67,8 @@ class IntervalSpec:
     @classmethod
     def from_bounds(cls, lo, hi, mu, n):
         """Raw [lo, hi] interval; sigmas are back-solved for reporting."""
-        scale = math.exp((n / 2.0) * math.log(mu) + numth.log_ball_volume(n))
+        _check_interval(lo, hi)
+        scale = _scale(mu, n)
         return cls(
             lo=lo,
             hi=hi,
@@ -87,36 +104,31 @@ def _check_ball_budget(n, bound, budget):
         )
 
 
-def ball_points(n, bound):
-    """All z in Z^n with |z|^2 < bound (including 0), depth-first."""
-    if bound <= 0:
-        return
-    point = [0] * n
+def _half_ball(s: SVector, mu: int, budget=None):
+    """Yield (|z|^2, |<z, s>|, z) for z in Z^len(s), 0 < |z|^2 < mu - 1,
+    one of each +/- pair: the z whose first nonzero entry is positive.
 
-    def rec(i, remaining):
-        if i == n:
-            yield tuple(point)
+    Depth-first (Fincke-Pohst), carrying the norm and <z, s> down the
+    levels.  mu and the ball budget are checked before the walk starts.
+    """
+    _check_mu(mu)
+    if budget is None:
+        budget = lattice.enum_budget()
+    entries = s.entries
+    _check_ball_budget(len(entries), mu - 1, budget)
+    last = len(entries) - 1
+
+    def walk(i, norm, dot, z, started):
+        limit = math.isqrt(mu - 2 - norm)  # largest x with norm + x^2 < mu - 1
+        e = entries[i]
+        if i == last:
+            for x in range(-limit if started else 1, limit + 1):
+                yield norm + x * x, abs(dot + x * e), z + (x,)
             return
-        limit = math.isqrt(max(math.ceil(remaining) - 1, 0))
-        while limit * limit >= remaining:
-            limit -= 1
-        for zi in range(-limit, limit + 1):
-            point[i] = zi
-            yield from rec(i + 1, remaining - zi * zi)
-        point[i] = 0
+        for x in range(-limit if started else 0, limit + 1):
+            yield from walk(i + 1, norm + x * x, dot + x * e, z + (x,), started or x > 0)
 
-    yield from rec(0, bound)
-
-
-def half_ball_points(n, bound):
-    """Nonzero z in Z^n with |z|^2 < bound, one of each +/- pair."""
-    for z in ball_points(n, bound):
-        for x in z:
-            if x > 0:
-                yield z
-                break
-            if x < 0:
-                break
+    return walk(0, 0, 0, (), False)
 
 
 def forbidden_values(s: SVector, mu: int, budget=None):
@@ -126,16 +138,8 @@ def forbidden_values(s: SVector, mu: int, budget=None):
     with |z|^2 + k^2 < mu, collecting a = |<z, s>| / k whenever the
     division is exact and positive.  Sorted and deduplicated.
     """
-    if mu < 2:
-        raise InputError(f"mu must be >= 2, got {mu}")
-    if budget is None:
-        budget = lattice.enum_budget()
-    n = len(s.entries)
-    _check_ball_budget(n, mu - 1, budget)
     out = set()
-    for z in half_ball_points(n, mu - 1):
-        norm = sum(x * x for x in z)
-        dot = abs(sum(x * e for x, e in zip(z, s.entries)))
+    for norm, dot, _ in _half_ball(s, mu, budget):
         k = 1
         while norm + k * k < mu:
             if dot % k == 0 and dot // k > 0:
@@ -207,38 +211,28 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec, budget=No
     residue of <x, s> mod k; the primitive count drops witnesses that
     are h-fold multiples for a divisor h > 1 of k.
     """
-    if budget is None:
-        budget = lattice.enum_budget()
+    points = _half_ball(s, mu, budget)
     n = len(s.entries)
-    k_max = math.isqrt(mu - 1)
-    _check_ball_budget(n, mu - 1, budget)
-    obstructed = {}
-    witness_counts = {}
-    residue_counts = {}
-    union = set()
-    for k in range(1, k_max + 1):
-        cutoff = mu - k * k
-        ik = set()
-        counts = [0] * k
-        primitive = 0
-        for x in ball_points(n, cutoff):
-            dot = sum(xi * e for xi, e in zip(x, s.entries))
-            if not (k * interval.lo <= dot <= k * interval.hi):
-                continue
-            counts[dot % k] += 1
-            if dot % k == 0:
-                t = dot // k
-                if interval.lo <= t <= interval.hi:
-                    ik.add(t)
-                content = 0
-                for xi in x:
-                    content = math.gcd(content, xi)
-                if math.gcd(content, k) == 1:
-                    primitive += 1
-        obstructed[k] = sorted(ik)
-        witness_counts[k] = (counts[0], primitive)
-        residue_counts[k] = counts
-        union.update(ik)
+    ks = range(1, math.isqrt(mu - 1) + 1)
+    obstructed = {k: set() for k in ks}
+    residue_counts = {k: [0] * k for k in ks}
+    primitive = dict.fromkeys(ks, 0)
+    lo, hi = interval.lo, interval.hi
+    # lo > 0, so of z and -z only the one with <., s> = |<z, s>| can lie
+    # in [k lo, k hi]; the canonical z stands for it (same norm, same gcd).
+    for norm, dot, z in points:
+        k = 1
+        while norm + k * k < mu:
+            if k * lo <= dot <= k * hi:
+                r = dot % k
+                residue_counts[k][r] += 1
+                if r == 0:
+                    if lo <= dot // k <= hi:
+                        obstructed[k].add(dot // k)
+                    if math.gcd(k, *z) == 1:
+                        primitive[k] += 1
+            k += 1
+    union = set().union(*obstructed.values())
     # Asymptotic cutoff reported for comparison with the exact k range.
     prev_dim = n - 1
     log_delta = (
@@ -252,10 +246,10 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec, budget=No
         - log_delta
     ) / interval.sigma
     return ObstructionReport(
-        k_max=k_max,
+        k_max=len(ks),
         A=math.floor(a_value),
-        obstructed=obstructed,
-        witness_counts=witness_counts,
+        obstructed={k: sorted(ik) for k, ik in obstructed.items()},
+        witness_counts={k: (residue_counts[k][0], primitive[k]) for k in ks},
         residue_counts=residue_counts,
         union=sorted(union),
         union_size=len(union),
@@ -265,7 +259,10 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec, budget=No
 def smallest_unobstructed(report: ObstructionReport, interval: IntervalSpec):
     """Smallest integer of the interval outside the report's union, or None."""
     blocked = set(report.union)
-    return next((t for t in interval.integers() if t not in blocked), None)
+    t = math.ceil(interval.lo)
+    while t in blocked:
+        t += 1
+    return t if t <= interval.hi else None
 
 
 def extend_in_interval(s: SVector, mu: int, interval: IntervalSpec, budget=None):

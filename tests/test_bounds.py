@@ -60,17 +60,6 @@ class TestEvalY:
 
 
 class TestEvalC:
-    def test_tight_at_n2(self):
-        assert bounds.eval_C(2, 1.0) == pytest.approx(2.0 / SQRT3, abs=1e-9)
-
-    def test_delta3_bound(self):
-        c = bounds.eval_C(3, 2.0 / SQRT3)
-        assert bounds.convert("hermite", "center", c, 3) == pytest.approx(0.1695, abs=5e-4)
-
-    def test_delta9_bound(self):
-        c = bounds.eval_C(9, 2.0)
-        assert bounds.convert("hermite", "center", c, 9) == pytest.approx(0.0388, abs=5e-4)
-
     def test_nondecreasing_envelope(self):
         assert bounds.eval_C(3, 2.0) >= bounds.eval_C(3, 1.0) - 1e-12
 

@@ -165,6 +165,9 @@ class TestExitCodes:
         assert cli.run(["lattice", "report", "--s", "2,3"]) == 1
         assert cli.run(["lattice", "report", "--s", "1"]) == 1
         assert cli.run(["museq", "certify", "--s", "1", "--mu", "3"]) == 1
+        for mu, lo, hi in (("3", "0", "10"), ("3", "1", "1e400"), ("0", "1", "10")):
+            assert cli.run(["museq", "obstructions", "--s", "1,2", "--mu", mu,
+                            "--lo", lo, "--hi", hi]) == 1
         capsys.readouterr()
         for budget in ("abc", "-5"):
             monkeypatch.setenv("LATPACK_ENUM_BUDGET", budget)

@@ -91,8 +91,6 @@ def fraction_lll_reduce(rows, delta=Fraction(99, 100)):
     size reduction and swap.  `lattice.lll_reduce` must match it exactly."""
     b = [list(r) for r in rows]
     n = len(b)
-    if n <= 1:
-        return [tuple(r) for r in b]
     mu, c = fraction_gram_schmidt(b)
     k = 1
     while k < n:
@@ -151,6 +149,7 @@ class TestLLL:
         [(1, 0), (0, 1), (1, 1)],
         [(0, 0, 0), (1, 2, 3)],
         [(1, 2, 3), (0, 0, 0)],
+        [(0, 0)],
     ])
     def test_dependent_rows_rejected(self, rows):
         with pytest.raises(InputError):

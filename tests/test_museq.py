@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latpack import lattice, museq, numth
 from latpack.errors import InputError, ResourceBudgetError
@@ -18,27 +19,154 @@ def oracle_extend(s, mu):
         t += 1
 
 
+def oracle_ball_points(n, bound):
+    """All z in Z^n with |z|^2 < bound (including 0), depth-first."""
+    if bound <= 0:
+        return
+    point = [0] * n
+
+    def rec(i, remaining):
+        if i == n:
+            yield tuple(point)
+            return
+        limit = math.isqrt(max(math.ceil(remaining) - 1, 0))
+        while limit * limit >= remaining:
+            limit -= 1
+        for zi in range(-limit, limit + 1):
+            point[i] = zi
+            yield from rec(i + 1, remaining - zi * zi)
+        point[i] = 0
+
+    yield from rec(0, bound)
+
+
+def oracle_forbidden_values(s, mu):
+    """The forbidden set from the whole ball, keeping one of each +/- pair."""
+    out = set()
+    for z in oracle_ball_points(len(s.entries), mu - 1):
+        if next((x for x in z if x), 0) <= 0:
+            continue
+        norm = sum(x * x for x in z)
+        dot = abs(sum(x * e for x, e in zip(z, s.entries)))
+        k = 1
+        while norm + k * k < mu:
+            if dot % k == 0 and dot // k > 0:
+                out.add(dot // k)
+            k += 1
+    return sorted(out)
+
+
+def oracle_interval_obstructions(s, mu, interval):
+    """The obstruction report from a fresh walk of the full ball per k."""
+    n = len(s.entries)
+    k_max = math.isqrt(mu - 1)
+    obstructed = {}
+    witness_counts = {}
+    residue_counts = {}
+    union = set()
+    for k in range(1, k_max + 1):
+        cutoff = mu - k * k
+        ik = set()
+        counts = [0] * k
+        primitive = 0
+        for x in oracle_ball_points(n, cutoff):
+            dot = sum(xi * e for xi, e in zip(x, s.entries))
+            if not (k * interval.lo <= dot <= k * interval.hi):
+                continue
+            counts[dot % k] += 1
+            if dot % k == 0:
+                t = dot // k
+                if interval.lo <= t <= interval.hi:
+                    ik.add(t)
+                content = 0
+                for xi in x:
+                    content = math.gcd(content, xi)
+                if math.gcd(content, k) == 1:
+                    primitive += 1
+        obstructed[k] = sorted(ik)
+        witness_counts[k] = (counts[0], primitive)
+        residue_counts[k] = counts
+        union.update(ik)
+    prev_dim = n - 1
+    log_delta = (
+        lattice.log_center_density(prev_dim, mu, lattice.determinant(s))
+        + numth.log_ball_volume(prev_dim)
+    )
+    a_value = math.exp(
+        (1 - n) * math.log(2.0)
+        + numth.log_ball_volume(prev_dim)
+        - numth.log_ball_volume(n)
+        - log_delta
+    ) / interval.sigma
+    return museq.ObstructionReport(
+        k_max=k_max,
+        A=math.floor(a_value),
+        obstructed=obstructed,
+        witness_counts=witness_counts,
+        residue_counts=residue_counts,
+        union=sorted(union),
+        union_size=len(union),
+    )
+
+
+@st.composite
+def obstruction_cases(draw):
+    """(s, mu, interval): n <= 5, entries <= 60, mu <= 14, 0 < lo <= hi."""
+    tail = draw(st.lists(st.integers(1, 60), max_size=4))
+    s = SVector((1,) + tuple(tail))
+    mu = draw(st.integers(2, 14))
+    bound = st.one_of(st.integers(1, 80), st.floats(1e-3, 80.0))
+    lo, hi = sorted((draw(bound), draw(bound)))
+    return s, mu, museq.IntervalSpec.from_bounds(lo, hi, mu, len(s.entries))
+
+
+def brute_ball(n, bound):
+    r = math.isqrt(bound) + 1
+    return [z for z in itertools.product(range(-r, r + 1), repeat=n)
+            if sum(x * x for x in z) < bound]
+
+
 class TestBallPoints:
-    @pytest.mark.parametrize("n,bound", [(1, 5), (2, 7), (3, 4)])
+    """The half-ball walk over {z : 0 < |z|^2 < mu - 1}, here mu = bound + 1."""
+
+    @pytest.mark.parametrize("n,bound", [(1, 5), (2, 7), (3, 4), (4, 9)])
     def test_matches_brute_force(self, n, bound):
-        r = math.isqrt(bound) + 1
-        expected = sorted(
-            z
-            for z in itertools.product(range(-r, r + 1), repeat=n)
-            if sum(x * x for x in z) < bound
-        )
-        assert sorted(museq.ball_points(n, bound)) == expected
+        s = SVector((1, 5, 12, 40)[:n])
+        walked = list(museq._half_ball(s, bound + 1))
+        pairs = {frozenset((z, tuple(-x for x in z))) for _, _, z in walked}
+        expected = {frozenset((z, tuple(-x for x in z)))
+                    for z in brute_ball(n, bound) if any(z)}
+        assert len(walked) == len(pairs)
+        assert pairs == expected
+        for norm, dot, z in walked:
+            assert norm == sum(x * x for x in z)
+            assert dot == abs(sum(x * e for x, e in zip(z, s.entries)))
 
     def test_half_ball_pairs(self):
-        points = list(museq.half_ball_points(2, 5))
-        full = [z for z in museq.ball_points(2, 5) if any(z)]
-        assert len(points) == len(full) // 2
+        points = [z for _, _, z in museq._half_ball(SVector((1, 2, 3, 4)), 10)]
+        assert len(points) == sum(1 for z in brute_ball(4, 9) if any(z)) // 2
         for z in points:
-            neg = tuple(-x for x in z)
-            assert neg not in points
+            assert next(x for x in z if x) > 0
 
     def test_empty_for_nonpositive_bound(self):
-        assert list(museq.ball_points(3, 0)) == []
+        # mu = 2 leaves only the zero point below mu - 1 = 1
+        for n in range(1, 5):
+            assert list(museq._half_ball(SVector((1,) * n), 2)) == []
+        with pytest.raises(InputError):
+            museq._half_ball(SVector((1, 2)), 1)
+
+
+class TestOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(obstruction_cases())
+    def test_match_full_ball_oracles(self, case):
+        s, mu, interval = case
+        assert museq.forbidden_values(s, mu) == oracle_forbidden_values(s, mu)
+        report = museq.interval_obstructions(s, mu, interval)
+        expected = oracle_interval_obstructions(s, mu, interval)
+        for field in ("k_max", "obstructed", "witness_counts", "residue_counts",
+                      "union", "union_size", "A"):
+            assert getattr(report, field) == getattr(expected, field), field
 
 
 class TestForbiddenValues:
@@ -118,8 +246,19 @@ class TestIntervalSpec:
         assert spec.integers() == [3, 4, 5, 6]
 
     def test_rejects_bad_interval(self):
+        for lo, hi in ((5.0, 3.0), (0.0, 3.0), (-1.0, 3.0), (1.0, math.inf),
+                       (math.nan, 3.0)):
+            with pytest.raises(InputError):
+                museq.IntervalSpec.from_bounds(lo, hi, 3, 2)
+            with pytest.raises(InputError):
+                museq.IntervalSpec.from_sigmas(lo, hi, 3, 2)
+
+    def test_rejects_small_mu(self):
         with pytest.raises(InputError):
-            museq.IntervalSpec.from_bounds(5.0, 3.0, 3, 2)
+            museq.IntervalSpec.from_bounds(1.0, 2.0, 0, 2)
+        interval = museq.IntervalSpec.from_bounds(1.0, 2.0, 3, 2)
+        with pytest.raises(InputError):
+            museq.interval_obstructions(SVector((1, 2)), 1, interval)
 
 
 class TestObstructions:
@@ -157,6 +296,9 @@ class TestObstructions:
         assert museq.extend_in_interval(s, 3, hit) == 3
         blocked = museq.IntervalSpec.from_bounds(1.0, 2.0, 3, 2)
         assert museq.extend_in_interval(s, 3, blocked) is None
+        # the interval's integers are walked lazily, never listed
+        wide = museq.IntervalSpec.from_bounds(1.0, 1e300, 3, 2)
+        assert museq.extend_in_interval(s, 3, wide) == 3
 
     @pytest.mark.parametrize("mu", [3, 4, 5, 6])
     def test_membership_matches_svp(self, mu):
