@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .lattice import gram_determinant, log_center_density
+from .lattice import (SVector, density_report, gram, gram_determinant,
+                      log_center_density, shortest_vector)
+
+#: Largest dimension and kappa at which the exact lattice density is found.
+_SVP_DIM_CAP = 8
+_SVP_KAPPA_CAP = 1e4
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,13 @@ def approximate(target: TargetGram, kappa: float) -> ApproximationResult:
 
 
 def saturation_determinant(result: ApproximationResult) -> int:
-    """Exact determinant of B with its first column deleted (always +-1).
+    """|det| of B with its first column deleted (always 1), exactly.
 
     That matrix is unit lower-triangular: row i holds L-tilde entries
-    left of the diagonal and the appended 1 on it.
+    left of the diagonal and the appended 1 on it.  |det| is the square
+    root of the determinant of its Gram matrix.
     """
-    return gram_determinant([row[1:] for row in result.B])
+    return math.isqrt(gram_determinant(gram([row[1:] for row in result.B])))
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,7 @@ class VerificationReport:
     lattice_center_density: float | None
 
 
-def verify_approximation(target: TargetGram, result: ApproximationResult,
-                         svp_dim_cap: int = 8, svp_kappa_cap: float = 1e4):
+def verify_approximation(target: TargetGram, result: ApproximationResult):
     """Recompute the error and compare densities where SVP is affordable.
 
     The density comparison is reported, not thresholded: convergence is
@@ -127,13 +132,10 @@ def verify_approximation(target: TargetGram, result: ApproximationResult,
     # general; use the exact minimum of the integer lattice instead and
     # rescale, comparing center densities.
     lattice_delta = None
-    if n <= svp_dim_cap and result.kappa <= svp_kappa_cap and all(
+    if n <= _SVP_DIM_CAP and result.kappa <= _SVP_KAPPA_CAP and all(
         e > 0 for e in result.s[1:]
     ) and result.s[0] == 1:
-        from . import lattice as lat
-
-        report = lat.density_report(lat.SVector(result.s))
-        lattice_delta = report.center_density
+        lattice_delta = density_report(SVector(result.s)).center_density
     target_min = _float_gram_minimum(g)
     target_delta = math.exp(log_center_density(n, target_min, np.linalg.det(g)))
     return VerificationReport(
@@ -148,8 +150,6 @@ def verify_approximation(target: TargetGram, result: ApproximationResult,
 
 def _float_gram_minimum(g) -> float:
     """Minimum of the real lattice with Gram g, by direct enumeration."""
-    from .lattice import shortest_vector
-
     scale = 10**6
     # Enumeration works off any positive definite integer Gram; feed it a
     # basis realization via Cholesky with a fine integer grid.

@@ -3,7 +3,8 @@
 Evaluates the Moebius-weighted sum F_n(x, y), its implicit inverse
 Y_n(x) defined by F_n(x, Y_n(x)) = 1/V_{n-1}, the increasing envelope
 C_n(x) = sup ξ Y_n(ξ)^{2/n}, instance checks of the dimension-lifting
-inequality in its three equivalent forms, Mordell's upper bound and the
+inequality in its three equivalent forms (one Moebius power sum, each
+form with its own summand formula), Mordell's upper bound and the
 elementary chain that recovers the 2^{1-n} packing bound.
 """
 
@@ -85,33 +86,18 @@ def eval_F(n: int, x: float, y: float) -> float:
     return _eval_F_large(n, x, y, kmax)
 
 
-def eval_Y(n: int, x: float, tol: float = 0.0) -> float:
-    """Solve F_n(x, y) = 1/V_{n-1} for y by bisection.
+def eval_Y(n: int, x: float) -> float:
+    """Solve F_n(x, y) = 1/V_{n-1} for y, bisecting to float spacing.
 
     F is nondecreasing and continuous in y, zero at y = 1/sqrt(x), so
-    bisection between there and a doubled-out upper bracket is safe.
-    The default tolerance of zero bisects down to float spacing.
+    `numth.bisect_increasing` from there is safe.  The solution can sit
+    near x^(-n/2), astronomically large for small x at high dimension.
     """
-    target = 1.0 / numth.ball_volume(n - 1)
     lo = 1.0 / math.sqrt(x)
-    hi = max(2.0 * lo, 1.0)
-    doublings = 0
-    while eval_F(n, x, hi) < target:
-        hi *= 2.0
-        doublings += 1
-        # The solution can sit near x^(-n/2), astronomically large for
-        # small x at high dimension; 2^200 still fits in a double.
-        if doublings > 200:
-            raise InputError("eval_Y bracket expansion failed to converge")
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if eval_F(n, x, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return numth.bisect_increasing(
+        lambda y: eval_F(n, x, y), 1.0 / numth.ball_volume(n - 1),
+        lo, max(2.0 * lo, 1.0), rtol=0.0, what="eval_Y",
+    )
 
 
 def eval_C(n: int, x: float) -> float:
@@ -171,30 +157,34 @@ def convert(kind_from: str, kind_to: str, value: float, n: int) -> float:
     return 4.0 * delta ** (2.0 / n)
 
 
+def _mobius_sum(n: int, kmax: int, base) -> float:
+    """sum_{k <= kmax} w(k, n) base(k)^((n-1)/2), skipping base(k) <= 0."""
+    total = 0.0
+    for k in range(1, kmax + 1):
+        b = base(k)
+        if b <= 0.0:
+            continue
+        total += numth.mobius_weight(k, n) * b ** ((n - 1) / 2.0)
+    return total
+
+
 def _lhs_center(n: int, delta_prev: float, delta_cur: float) -> float:
     """Center-density form of the lifting inequality, left-hand side."""
     kmax = math.floor(2.0 * delta_cur / delta_prev)
     vol = numth.ball_volume(n - 1)
-    total = 0.0
-    for k in range(1, kmax + 1):
-        base = 1.0 - (k * delta_prev / (2.0 * delta_cur)) ** 2
-        if base <= 0.0:
-            continue
-        total += numth.mobius_weight(k, n) * base ** ((n - 1) / 2.0)
-    return 2.0 ** (n - 1) * delta_prev * vol * total
+    return 2.0 ** (n - 1) * delta_prev * vol * _mobius_sum(
+        n, kmax, lambda k: 1.0 - (k * delta_prev / (2.0 * delta_cur)) ** 2
+    )
 
 
 def _lhs_density(n: int, density_prev: float, density_cur: float) -> float:
     vn1 = numth.ball_volume(n - 1)
     vn = numth.ball_volume(n)
     kmax = math.floor(2.0 * density_cur * vn1 / (density_prev * vn))
-    total = 0.0
-    for k in range(1, kmax + 1):
-        base = 1.0 - (k * density_prev * vn / (2.0 * density_cur * vn1)) ** 2
-        if base <= 0.0:
-            continue
-        total += numth.mobius_weight(k, n) * base ** ((n - 1) / 2.0)
-    return 2.0 ** (n - 1) * density_prev * total
+    return 2.0 ** (n - 1) * density_prev * _mobius_sum(
+        n, kmax,
+        lambda k: 1.0 - (k * density_prev * vn / (2.0 * density_cur * vn1)) ** 2,
+    )
 
 
 def _lhs_hermite(n: int, gamma_prev: float, gamma_cur: float) -> float:
@@ -203,13 +193,9 @@ def _lhs_hermite(n: int, gamma_prev: float, gamma_cur: float) -> float:
         math.exp((n / 2.0) * math.log(gamma_cur)
                  - ((n - 1) / 2.0) * math.log(gamma_prev))
     )
-    total = 0.0
-    for k in range(1, kmax + 1):
-        base = gamma_prev - k * k * (gamma_prev / gamma_cur) ** n
-        if base <= 0.0:
-            continue
-        total += numth.mobius_weight(k, n) * base ** ((n - 1) / 2.0)
-    return vn1 * total
+    return vn1 * _mobius_sum(
+        n, kmax, lambda k: gamma_prev - k * k * (gamma_prev / gamma_cur) ** n
+    )
 
 
 def check_theorem1(n, delta_prev, delta_cur, form="center"):

@@ -1,8 +1,8 @@
 """Integer lattices orthogonal to a vector s with s_0 = 1.
 
 The lattice is Lambda(s) = {z in Z^(n+1) : <z, s> = 0}, realized by the
-explicit kernel basis b_i = s_i e_0 - e_i.  Determinants are exact
-(Bareiss).  LLL and enumeration share one exact Gram-Schmidt source, the
+explicit kernel basis b_i = s_i e_0 - e_i.  LLL, enumeration and the
+exact Gram determinant share one exact Gram-Schmidt source, the
 integral d_i (products of squared Gram-Schmidt norms) and lambda_ij =
 d_j mu_ij; the minimum is certified by enumeration over the LLL-reduced
 basis, pruned in floats with a relative margin and decided in exact
@@ -81,25 +81,9 @@ def gram(rows) -> list[list[int]]:
 
 
 def gram_determinant(g) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    a = [list(row) for row in g]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of a positive definite integer Gram matrix: the
+    last d of `integral_gram_schmidt` (a singular one raises InputError)."""
+    return integral_gram_schmidt(g)[0][-1]
 
 
 def determinant(s: SVector) -> int:
@@ -224,9 +208,11 @@ def shortest_vector(rows, upper=None, budget=None):
     sign-normalized and lexicographically smallest among all minimal
     vectors.  With `upper` set, the search is pruned at that norm and
     (upper, None) is returned when no vector of norm < upper exists
-    (a certified "minimum >= upper" verdict).  Past `budget` nodes it
-    raises ResourceBudgetError carrying the Gaussian-heuristic node
-    count of the whole search (at least the nodes already visited).
+    (a certified "minimum >= upper" verdict); an `upper` above a reduced
+    basis norm cannot certify, so the plain search answers it.  Past
+    `budget` nodes it raises ResourceBudgetError carrying the
+    Gaussian-heuristic node count of the whole search (at least the
+    nodes already visited).
     """
     if not rows:
         raise InputError(
@@ -248,11 +234,12 @@ def shortest_vector(rows, upper=None, budget=None):
             coeffs[i] * coeffs[j] * g[i][j] for i in range(n) for j in range(n)
         )
 
-    if upper is not None:
+    best = min(g[i][i] for i in range(n))
+    if upper is not None and upper <= best:
         limit = math.ceil(upper) - 1  # largest norm still below upper
         best = None
     else:
-        best = min(g[i][i] for i in range(n))
+        upper = None  # a basis vector lies below upper: nothing to certify
         limit = best
     bound = limit * _PRUNE_MARGIN
     candidates = []

@@ -35,7 +35,10 @@ def _check_interval(lo, hi):
 def _scale(mu, n):
     """mu^(n/2) V_n, the unit of the sigma parametrization."""
     _check_mu(mu)
-    return math.exp((n / 2.0) * math.log(mu) + numth.log_ball_volume(n))
+    try:
+        return math.exp((n / 2.0) * math.log(mu) + numth.log_ball_volume(n))
+    except OverflowError:
+        raise InputError(f"mu^(n/2) V_n overflows a float (n = {n})") from None
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Number-theoretic and geometric scalar primitives.
 
 Moebius function by trial division, divisor-weighted sums, unit-ball
-volumes via log-Gamma (safe up to dimensions in the thousands) and the
-half-ball counting bound used to budget lattice-point enumerations.
+volumes via log-Gamma (safe up to dimensions in the thousands), the
+half-ball counting bound used to budget lattice-point enumerations and
+the bisection behind Y_n, psi and f_n.
 """
 
 import math
@@ -80,9 +81,33 @@ def ball_volume(n: int) -> float:
 
 def ball_point_count_bound(n: int, mu: int) -> float:
     """Upper bound 2 * sqrt(mu + n/4)^n * V_n on the number of integer
-    points of squared norm <= mu in dimension n."""
+    points of squared norm <= mu in dimension n; inf past float range."""
     if n < 1 or mu < 1:
         raise InputError(f"ball_point_count_bound requires n, mu >= 1")
-    return 2.0 * math.exp(
-        (n / 2.0) * math.log(mu + n / 4.0) + log_ball_volume(n)
-    )
+    try:
+        return 2.0 * math.exp(
+            (n / 2.0) * math.log(mu + n / 4.0) + log_ball_volume(n)
+        )
+    except OverflowError:  # mu or the bound does not fit in a float
+        return math.inf
+
+
+def bisect_increasing(f, target, lo, hi, rtol, what) -> float:
+    """Solve f(y) = target for nondecreasing f, f(lo) < target: double hi
+    until f(hi) >= target, then bisect until hi - lo <= rtol * max(1, hi)
+    or float spacing; returns the midpoint."""
+    doublings = 0
+    while f(hi) < target:
+        hi *= 2.0
+        doublings += 1
+        if doublings > 200:  # 2^200 times any start still fits a double
+            raise InputError(f"{what} bracket expansion failed to converge")
+    while hi - lo > rtol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -4,9 +4,11 @@ tau(x) = sum_{k>=1} exp(-pi (k/x)^2) is half the third Jacobi theta
 function minus 1/2; psi is its inverse, Omega(x) = x psi(1/x) the
 transfer map with attracting fixed point xi = 1/tau(1), and the d_n
 recursion follows the per-dimension implicit maps f_n whose limit is
-Omega.  All power terms go through log1p so dimension 1024 is routine.
+Omega.  tau and tau' share one series, psi and f_n one bisection.  All
+power terms go through log1p so dimension 1024 is routine.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -16,90 +18,69 @@ from . import numth
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class ThetaParams:
-    tolerance: float = 1e-15
+#: Relative truncation of the theta series.
+_TAU_TOL = 1e-15
 
 
-def tau(x: float, params: ThetaParams = ThetaParams()) -> float:
-    """Truncated theta tail sum_{k>=1} exp(-pi (k/x)^2).
+def _tail(x: float, power: int) -> float:
+    """sum_{k>=1} k^power exp(-pi (k/x)^2), up to the first term that
+    underflows or falls below _TAU_TOL times the partial sum."""
+    total = 0.0
+    for k in itertools.count(1):
+        term = math.exp(-math.pi * (k / x) ** 2)
+        if power:  # k**0 on every term of tau would cost a fifth of its time
+            term *= k**power
+        if term == 0.0 or term < _TAU_TOL * total:
+            return total
+        total += term
 
-    Truncation stops at the first term below tolerance times the partial
-    sum; the neglected tail is dominated by twice that term.
-    """
+
+def tau(x: float) -> float:
+    """Truncated theta tail sum_{k>=1} exp(-pi (k/x)^2); the neglected
+    tail is dominated by twice the first dropped term."""
     if x <= 0:
         raise InputError(f"tau requires x > 0, got {x}")
-    total = 0.0
-    k = 1
-    while True:
-        term = math.exp(-math.pi * (k / x) ** 2)
-        if k > 1 and term < params.tolerance * total:
-            break
-        if term == 0.0 and k > 1:
-            break
-        total += term
-        if term == 0.0:
-            break
-        k += 1
-    return total
+    return _tail(x, 0)
 
 
-def tau_derivative(x: float, params: ThetaParams = ThetaParams()) -> float:
+def tau_derivative(x: float) -> float:
     """tau'(x) = (2 pi / x^3) sum k^2 exp(-pi (k/x)^2)."""
     if x <= 0:
         raise InputError(f"tau_derivative requires x > 0, got {x}")
-    total = 0.0
-    k = 1
-    while True:
-        term = k * k * math.exp(-math.pi * (k / x) ** 2)
-        if k > 1 and term < params.tolerance * total:
-            break
-        if term == 0.0 and k > 1:
-            break
-        total += term
-        if term == 0.0:
-            break
-        k += 1
-    return 2.0 * math.pi / x**3 * total
+    return 2.0 * math.pi / x**3 * _tail(x, 2)
 
 
-def psi(t: float, params: ThetaParams = ThetaParams()) -> float:
-    """Inverse of tau by bisection on the bracket (2t, 2t + 2)."""
+def psi(t: float) -> float:
+    """Inverse of tau, bisected on (2t, 2t + 2) to 1e-13 * max(1, hi)."""
     if t <= 0:
         raise InputError(f"psi requires t > 0, got {t}")
-    lo = max(2.0 * t, 1e-300)
-    hi = 2.0 * t + 2.0
     # tau(x) < x/2 gives tau(lo) < t; x/2 - 1 < tau(x) gives tau(hi) > t.
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if tau(mid, params) < t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return numth.bisect_increasing(
+        tau, t, max(2.0 * t, 1e-300), 2.0 * t + 2.0, rtol=1e-13, what="psi"
+    )
 
 
-def omega(x: float, params: ThetaParams = ThetaParams()) -> float:
+def omega(x: float) -> float:
     """Transfer map Omega(x) = x psi(1/x); always > 2."""
     if x <= 0:
         raise InputError(f"omega requires x > 0, got {x}")
-    return x * psi(1.0 / x, params)
+    return x * psi(1.0 / x)
 
 
-def fixpoint(params: ThetaParams = ThetaParams()):
+def fixpoint():
     """Fixed point xi = 1/tau(1) and the derivative 1 - tau(1)/tau'(1)."""
-    t1 = tau(1.0, params)
-    return 1.0 / t1, 1.0 - t1 / tau_derivative(1.0, params)
+    t1 = tau(1.0)
+    return 1.0 / t1, 1.0 - t1 / tau_derivative(1.0)
 
 
-def f_step(n: int, x: float, rel_tol: float = 1e-12) -> float:
+def f_step(n: int, x: float) -> float:
     """Implicit per-dimension map: solve for y in
 
         x * sum_{k=1}^{floor(y V_n / (x V_{n+1}))}
             (1 - k^2 (x V_{n+1} / (y V_n))^2)^(n/2) = 1.
 
     The left side is continuous and nondecreasing in y, zero for small y
-    and unbounded, so bisection is well posed.
+    and unbounded, so bisection (to 1e-12 * max(1, hi)) is well posed.
     """
     if n < 1 or x <= 0:
         raise InputError("f_step requires n >= 1 and x > 0")
@@ -117,20 +98,7 @@ def f_step(n: int, x: float, rel_tol: float = 1e-12) -> float:
         return x * total
 
     lo = x * ratio
-    hi = 2.0 * lo
-    doublings = 0
-    while lhs(hi) < 1.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise InputError("f_step bracket expansion failed to converge")
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return numth.bisect_increasing(lhs, 1.0, lo, 2.0 * lo, rtol=1e-12, what="f_step")
 
 
 @dataclass(frozen=True)
@@ -152,11 +120,11 @@ class FlowTrace:
         return self.rows[n - 1]
 
 
-def iterate_d(max_n: int, params: ThetaParams = ThetaParams()) -> FlowTrace:
+def iterate_d(max_n: int) -> FlowTrace:
     """Run d_1 = 2, d_{n+1} = f_n(d_n) with the parallel Omega iterates."""
     if max_n < 1:
         raise InputError(f"iterate_d requires max_n >= 1, got {max_n}")
-    xi, deriv = fixpoint(params)
+    xi, deriv = fixpoint()
     rows = []
     d = 2.0
     w = 2.0
@@ -165,7 +133,7 @@ def iterate_d(max_n: int, params: ThetaParams = ThetaParams()) -> FlowTrace:
         if n > 1:
             prev_d = d
             d = f_step(n - 1, d)
-            w = omega(w, params)
+            w = omega(w)
         if prev_d is None:
             a_n = 0
         else:

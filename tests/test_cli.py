@@ -175,6 +175,20 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "LATPACK_ENUM_BUDGET" in err
 
+    def test_huge_mu(self, capsys):
+        huge = "1" + "0" * 400
+        assert cli.run(["museq", "greedy", "--mu", huge, "--dim", "1"]) == 2
+        assert cli.run(["museq", "obstructions", "--s", "1,2", "--mu", huge,
+                        "--lo", "1", "--hi", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2 and "Traceback" not in err
+        # a basis vector of norm 5 lies below mu: the exact verdict, exit 0
+        assert cli.run(["museq", "certify", "--s", "1,2", "--mu", huge]) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert outputs["certified"] is False
+        assert outputs["violating_norm"] == 5
+        assert outputs["witness"] == [2, -1]
+
     def test_parse_error(self, capsys):
         assert cli.run(["lattice", "report", "--s", "1,x"]) == 1
 

@@ -143,6 +143,8 @@ class TestLLL:
     @given(lower_triangular_rows())
     def test_matches_fraction_oracle_on_general_rows(self, rows):
         assert lattice.lll_reduce(rows) == fraction_lll_reduce(rows)
+        assert lattice.gram_determinant(lattice.gram(rows)) == \
+            math.prod(row[i] for i, row in enumerate(rows)) ** 2
 
     @pytest.mark.parametrize("rows", [
         [(1, 2, 3), (2, 4, 6)],
@@ -154,6 +156,8 @@ class TestLLL:
     def test_dependent_rows_rejected(self, rows):
         with pytest.raises(InputError):
             fraction_lll_reduce(rows)
+        with pytest.raises(InputError):  # singular Gram matrix
+            lattice.gram_determinant(lattice.gram(rows))
         with pytest.raises(InputError):
             lattice.lll_reduce(rows)
         with pytest.raises(InputError):

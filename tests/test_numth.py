@@ -82,6 +82,9 @@ def test_ball_point_count_bound_examples():
     assert numth.ball_point_count_bound(2, 2) == pytest.approx(
         2.0 * 2.5 * math.pi, rel=1e-9
     )
+    # past float range the bound is inf, not an OverflowError
+    assert numth.ball_point_count_bound(1, 10**400) == math.inf
+    assert numth.ball_point_count_bound(400, 10**6) == math.inf
 
 
 def _exact_ball_count(n, mu):
@@ -99,3 +102,30 @@ def _exact_ball_count(n, mu):
 @pytest.mark.parametrize("mu", [1, 2, 4, 9, 16])
 def test_ball_point_count_bound_dominates_exact_count(n, mu):
     assert numth.ball_point_count_bound(n, mu) >= _exact_ball_count(n, mu)
+
+
+class TestBisectIncreasing:
+    def test_rtol_zero_stops_at_adjacent_floats(self):
+        t = 1.0 / 3.0
+        root = numth.bisect_increasing(lambda y: y, t, 0.0, 1.0, rtol=0.0, what="id")
+        assert root in (math.nextafter(t, 0.0), t)
+
+    def test_within_rtol_of_known_root(self):
+        # hi = 0.5 is below the last two roots, so those double the bracket
+        for target in (0.001, 2.0, 1e6):
+            root = numth.bisect_increasing(
+                lambda y: y**3, target, 0.0, 0.5, rtol=1e-9, what="cube"
+            )
+            exact = target ** (1.0 / 3.0)
+            assert abs(root - exact) <= 1e-9 * max(1.0, exact)
+
+    def test_unreachable_target_raises_after_cap(self):
+        calls = []
+
+        def flat(y):
+            calls.append(y)
+            return 0.0
+
+        with pytest.raises(InputError, match="flat bracket expansion failed"):
+            numth.bisect_increasing(flat, 1.0, 0.0, 1.0, rtol=1e-12, what="flat")
+        assert calls[-1] == 2.0**200
