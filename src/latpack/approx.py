@@ -4,13 +4,12 @@ Cholesky-factor the target, round kappa * L to integers, append a unit
 superdiagonal to get an n x (n+1) integer matrix B whose rows span a
 saturated sublattice of Z^(n+1), and back-substitute the integer kernel
 vector v with v_1 = 1.  As kappa grows, (1/kappa^2) B B^t converges to
-the target, so the orthogonal-complement model class is dense.
+the target, so the orthogonal-complement model class is dense.  L (by
+`math.fsum`), the Gram error and det G = prod(L_ii)^2 are float64.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InputError
 from .lattice import (SVector, density_report, gram, gram_determinant,
@@ -30,23 +29,49 @@ class TargetGram:
 
     @classmethod
     def from_matrix(cls, G) -> "TargetGram":
-        arr = np.asarray(G, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InputError("Gram matrix must be square")
-        if not np.allclose(arr, arr.T, rtol=1e-12, atol=1e-12):
-            raise InputError("Gram matrix must be symmetric")
+        """Check G: non-empty, square, finite, symmetric to 1e-12, and SPD."""
         try:
-            L = np.linalg.cholesky(arr)
-        except np.linalg.LinAlgError as exc:
-            raise InputError("Gram matrix is not positive definite") from exc
-        return cls(
-            G=tuple(tuple(row) for row in arr),
-            L=tuple(tuple(row) for row in L),
-        )
+            finite = all(math.isfinite(x) for row in G for x in row)
+        except (TypeError, OverflowError) as exc:
+            raise InputError(f"Gram matrix must be rows of real numbers: {exc}") from exc
+        if not finite:
+            raise InputError("Gram matrix entries must be finite")
+        g = [[float(x) for x in row] for row in G]
+        n = len(g)
+        if n == 0 or any(len(row) != n for row in g):
+            raise InputError("Gram matrix must be square and non-empty")
+        if any(abs(g[i][j] - g[j][i]) > 1e-12 + 1e-12 * abs(g[j][i])
+               for i in range(n) for j in range(n)):
+            raise InputError("Gram matrix must be symmetric")
+        return cls(G=tuple(map(tuple, g)), L=tuple(map(tuple, _cholesky(g))))
 
     @property
     def n(self) -> int:
         return len(self.G)
+
+
+def _cholesky(g):
+    """Lower-triangular L with L L^t = g, each inner product by math.fsum."""
+    L = [[0.0] * len(g) for _ in g]
+    for i, row in enumerate(g):
+        for j in range(i + 1):
+            s = math.fsum([row[j]] + [-a * b for a, b in zip(L[i][:j], L[j])])
+            if i > j:
+                L[i][j] = s / L[j][j]
+            elif s > 0.0:
+                L[i][i] = math.sqrt(s)
+            else:
+                raise InputError("Gram matrix is not positive definite")
+    return L
+
+
+def _gram_error(B, kappa, G) -> float:
+    """Frobenius norm of (1/kappa^2) B B^t - G."""
+    scaled = [[float(x) / kappa for x in row] for row in B]
+    return math.sqrt(math.fsum(
+        (math.fsum(a * b for a, b in zip(ri, rj)) - G[i][j]) ** 2
+        for i, ri in enumerate(scaled) for j, rj in enumerate(scaled)
+    ))
 
 
 @dataclass(frozen=True)
@@ -61,8 +86,9 @@ class ApproximationResult:
 
 def approximate(target: TargetGram, kappa: float) -> ApproximationResult:
     """Build the integer approximation at scale kappa."""
-    if kappa < 1:
-        raise InputError(f"kappa must be >= 1, got {kappa}")
+    l_max = max(abs(x) for row in target.L for x in row)
+    if not (kappa >= 1 and math.isfinite(kappa * l_max)):
+        raise InputError(f"kappa must be >= 1 with kappa * L finite, got {kappa}")
     n = target.n
     l_tilde = [
         [int(round(kappa * target.L[i][j])) for j in range(n)]  # half to even
@@ -78,17 +104,13 @@ def approximate(target: TargetGram, kappa: float) -> ApproximationResult:
     v = [1]
     for i in range(n):
         v.append(-sum(b[i][j] * v[j] for j in range(i + 1)))
-    scaled = np.array(
-        [[float(x) / kappa for x in row] for row in b], dtype=float
-    )
-    diff = scaled @ scaled.T - np.asarray(target.G)
     return ApproximationResult(
         kappa=kappa,
         L_tilde=tuple(tuple(row) for row in l_tilde),
         B=tuple(tuple(row) for row in b),
         v=tuple(v),
         s=tuple(abs(x) for x in v),
-        gram_error=float(np.linalg.norm(diff)),
+        gram_error=_gram_error(b, kappa, target.G),
     )
 
 
@@ -118,15 +140,9 @@ def verify_approximation(target: TargetGram, result: ApproximationResult):
     The density comparison is reported, not thresholded: convergence is
     O(1/kappa) with a target-dependent constant.
     """
-    scaled = np.array(
-        [[float(x) / result.kappa for x in row] for row in result.B]
-    )
-    diff = scaled @ scaled.T - np.asarray(target.G)
-    gram_error = float(np.linalg.norm(diff))
     kernel_exact = all(
         sum(bi * vi for bi, vi in zip(row, result.v)) == 0 for row in result.B
     )
-    g = np.asarray(target.G)
     n = target.n
     # Rayleigh-style exact minimum of the target is not available in
     # general; use the exact minimum of the integer lattice instead and
@@ -136,11 +152,12 @@ def verify_approximation(target: TargetGram, result: ApproximationResult):
         e > 0 for e in result.s[1:]
     ) and result.s[0] == 1:
         lattice_delta = density_report(SVector(result.s)).center_density
-    target_min = _float_gram_minimum(g)
-    target_delta = math.exp(log_center_density(n, target_min, np.linalg.det(g)))
+    det = math.prod(target.L[i][i] for i in range(n)) ** 2
+    target_min = _float_gram_minimum(target.L)
+    target_delta = math.exp(log_center_density(n, target_min, det))
     return VerificationReport(
         kappa=result.kappa,
-        gram_error=gram_error,
+        gram_error=_gram_error(result.B, result.kappa, target.G),
         kernel_exact=kernel_exact,
         saturation_det=saturation_determinant(result),
         target_center_density=target_delta,
@@ -148,12 +165,10 @@ def verify_approximation(target: TargetGram, result: ApproximationResult):
     )
 
 
-def _float_gram_minimum(g) -> float:
-    """Minimum of the real lattice with Gram g, by direct enumeration."""
+def _float_gram_minimum(L) -> float:
+    """Minimum of the real lattice with Cholesky factor L, by direct
+    enumeration of the rows of L rounded to a fine integer grid."""
     scale = 10**6
-    # Enumeration works off any positive definite integer Gram; feed it a
-    # basis realization via Cholesky with a fine integer grid.
-    L = np.linalg.cholesky(np.asarray(g, dtype=float))
     rows = [tuple(int(round(scale * x)) for x in row) for row in L]
     minimum, _ = shortest_vector(rows)
     return minimum / (scale * scale)

@@ -1,6 +1,7 @@
 """Density inequality machinery.
 
-Evaluates the Moebius-weighted sum F_n(x, y), its implicit inverse
+Evaluates the Moebius-weighted sum F_n(x, y) (by Euler-Maclaurin with a
+cap-integral recurrence past a term-count crossover), its implicit inverse
 Y_n(x) defined by F_n(x, Y_n(x)) = 1/V_{n-1}, the increasing envelope
 C_n(x) = sup ξ Y_n(ξ)^{2/n}, instance checks of the dimension-lifting
 inequality in its three equivalent forms (one Moebius power sum, each
@@ -9,8 +10,6 @@ elementary chain that recovers the 2^{1-n} packing bound.
 """
 
 import math
-
-from scipy import special
 
 from . import numth
 from .errors import InputError
@@ -35,17 +34,31 @@ def _eval_F_exact(n, x, y, kmax):
     return total
 
 
+def _cap_integral(p, c):
+    """J_p(c) = integral_0^c (1 - u^2)^p du, p in {0, 1/2, 1, ...}, by the
+    integration-by-parts recurrence J_q = (c (1-c^2)^q + 2q J_{q-1}) / (2q+1)
+    up from J_0 = c or J_{1/2} = (c sqrt(1-c^2) + asin c) / 2: no cancellation."""
+    s = (1.0 - c) * (1.0 + c)
+    if p == int(p):
+        q, j = 0.0, c
+    else:
+        q, j = 0.5, 0.5 * (c * math.sqrt(s) + math.asin(c))
+    while q < p:
+        q += 1.0
+        j = (c * s**q + 2.0 * q * j) / (2.0 * q + 1.0)
+    return j
+
+
 def _eval_F_large(n, x, y, kmax):
     """F via sum over Moebius indices l of S(l) = sum_m g(l m / y).
 
     Each S(l) is a Riemann sum of g(t) = (x - t^2)^((n-1)/2) with tiny
-    spacing l/y, evaluated by Euler-Maclaurin with the incomplete-beta
-    closed form of the integral.  The l-sum is truncated where its
-    1/l^(n-1) decay drops below 1e-13 relative.
+    spacing l/y, evaluated by Euler-Maclaurin with the integral
+    x^(p+1/2) `_cap_integral`(p, b/sqrt(x)), p = (n-1)/2.  The l-sum is
+    truncated where its 1/l^(n-1) decay drops below 1e-13 relative.
     """
     p = (n - 1) / 2.0
     sqx = math.sqrt(x)
-    beta_full = special.beta(0.5, p + 1.0)
     lmax = min(kmax, max(2, math.ceil((1e13 / (n - 1)) ** (1.0 / (n - 1)))), 30000)
     g0 = x**p
     total = 0.0
@@ -59,9 +72,7 @@ def _eval_F_large(n, x, y, kmax):
         h = l / y
         b = min(m_count * h, sqx)
         base = x - b * b
-        integral = (
-            x ** (p + 0.5) * 0.5 * beta_full * special.betainc(0.5, p + 1.0, (b / sqx) ** 2)
-        )
+        integral = x ** (p + 0.5) * _cap_integral(p, b / sqx)
         g_b = base**p if base > 0.0 else 0.0
         gp_b = -(n - 1) * b * base ** ((n - 3) / 2.0) if base > 0.0 else 0.0
         s_l = integral / h + 0.5 * (g_b - g0) + (h / 12.0) * gp_b
@@ -256,7 +267,3 @@ def marin_chain(n: int, delta_prev: float, delta_cur: float):
     rhs = 2.0 ** (n - 1) * delta_cur * numth.ball_volume(n)
     return lhs, mid, rhs
 
-
-def trivial_lower(delta_prev: float) -> float:
-    """Orthogonal-sum bound delta_n >= delta_{n-1} / 2."""
-    return delta_prev / 2.0

@@ -259,13 +259,15 @@ def _cmd_theta_fit(args, started):
 
 def _cmd_approx(args, started):
     with open(args.gram, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if "gram" not in data:
-        raise InputError("gram file needs a 'gram' field")
-    gram = data["gram"]
-    if "n" in data and len(gram) != data["n"]:
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise InputError(f"gram file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict) or "gram" not in data:
+        raise InputError("gram file needs a JSON object with a 'gram' field")
+    target = approx.TargetGram.from_matrix(data["gram"])
+    if "n" in data and target.n != data["n"]:
         raise InputError("gram file 'n' does not match the matrix size")
-    target = approx.TargetGram.from_matrix(gram)
     result = approx.approximate(target, args.kappa)
     payload = {
         "kappa": result.kappa,

@@ -11,8 +11,7 @@ power terms go through log1p so dimension 1024 is routine.
 import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from fractions import Fraction
 
 from . import numth
 from .errors import InputError
@@ -147,31 +146,6 @@ def iterate_d(max_n: int) -> FlowTrace:
     return FlowTrace(rows=tuple(rows), xi=xi, xi_derivative=deriv)
 
 
-def iterate_perturbed(f_seq, x0: float, steps: int):
-    """Drive s_n = f_n(s_{n-1}) for a sequence of maps; returns s_1..s_steps."""
-    values = []
-    x = x0
-    for i in range(steps):
-        try:
-            x = f_seq[i](x)
-        except Exception as exc:
-            raise InputError(f"map {i + 1} failed at input {x!r}: {exc}") from exc
-        if not math.isfinite(x):
-            raise InputError(f"iteration escaped the domain at step {i + 1}")
-        values.append(x)
-    return values
-
-
-def perturbation_error_bounds(lam: float, initial_gap: float, sup_diffs):
-    """Per-step bounds lam^n |x0 - xi| + sum lam^(n-k) sup|f_k - f|."""
-    bounds = []
-    acc = abs(initial_gap)
-    for diff in sup_diffs:
-        acc = lam * acc + abs(diff)
-        bounds.append(acc)
-    return bounds
-
-
 @dataclass(frozen=True)
 class AsymptoticFit:
     c0: float
@@ -185,16 +159,17 @@ class AsymptoticFit:
 
 
 def asymptotic_fit(trace: FlowTrace, ladder=(128, 256, 512, 1024)) -> AsymptoticFit:
-    """Fit d_n = c0 + c1/n + c2/n^2 + c3/n^3 through four ladder points."""
-    if len(set(ladder)) != 4:
-        raise InputError("ladder must contain four distinct indices")
+    """Fit d_n = c0 + c1/n + c2/n^2 + c3/n^3 through four ladder points, by
+    exact Gauss-Jordan on the Vandermonde system in 1/n (its leading minors
+    are Vandermonde, so no pivot is zero); only the result is rounded."""
+    if len(ladder) != 4 or len(set(ladder)) != 4 or min(ladder) < 1:
+        raise InputError("ladder must contain four distinct positive indices")
     if max(ladder) > len(trace.rows):
         raise InputError("trace does not reach the requested ladder")
-    u = np.array([1.0 / n for n in ladder])
-    vand = np.vander(u, 4, increasing=True)
-    rhs = np.array([trace.row(n).d for n in ladder])
-    c = np.linalg.solve(vand, rhs)
-    return AsymptoticFit(
-        c0=float(c[0]), c1=float(c[1]), c2=float(c[2]), c3=float(c[3]),
-        ladder=tuple(ladder),
-    )
+    rows = [[Fraction(1, n) ** k for k in range(4)] + [Fraction(trace.row(n).d)]
+            for n in ladder]
+    for i, r in itertools.permutations(range(4), 2):  # clear column i in row r
+        f = rows[r][i] / rows[i][i]
+        rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
+    c0, c1, c2, c3 = (float(rows[i][4] / rows[i][i]) for i in range(4))
+    return AsymptoticFit(c0=c0, c1=c1, c2=c2, c3=c3, ladder=tuple(ladder))

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latpack import approx
 from latpack.errors import InputError
@@ -33,6 +34,22 @@ class TestTargetGram:
     def test_rejects_indefinite(self):
         with pytest.raises(InputError):
             approx.TargetGram.from_matrix([[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("g", [
+        [], 5, [1.0, 2.0], [[1, 2], [3]], [[1.0, "x"], ["x", 1.0]],
+        [[float("inf")]], [[float("nan")]], [[1.0, float("nan")], [float("nan"), 1.0]],
+        [[10**400]],
+    ])
+    def test_rejects_malformed(self, g):
+        with pytest.raises(InputError):
+            approx.TargetGram.from_matrix(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32))
+    def test_cholesky_matches_numpy(self, n, seed):
+        g = random_spd(n, seed)
+        expected = np.linalg.cholesky(np.array(g))
+        assert np.allclose(approx._cholesky(g), expected, rtol=1e-13, atol=1e-13)
 
     def test_cholesky_round_trip(self):
         target = approx.TargetGram.from_matrix(A2)
@@ -78,8 +95,11 @@ class TestApproximate:
 
     def test_kappa_validation(self):
         target = approx.TargetGram.from_matrix(I2)
-        with pytest.raises(InputError):
-            approx.approximate(target, 0.5)
+        for kappa in (0.5, float("nan"), float("inf")):
+            with pytest.raises(InputError):
+                approx.approximate(target, kappa)
+        with pytest.raises(InputError):  # kappa * L overflows
+            approx.approximate(approx.TargetGram.from_matrix([[100.0]]), 1e308)
 
 
 class TestSaturation:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import special
 
 from latpack import bounds, numth
 from latpack.errors import InputError
@@ -37,6 +39,14 @@ class TestEvalF:
             exact = bounds._eval_F_exact(n, x, y, kmax)
             fast = bounds._eval_F_large(n, x, y, kmax)
             assert fast == pytest.approx(exact, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 200), st.floats(0.0, 1.0, exclude_min=True))
+    def test_cap_integral_matches_incomplete_beta(self, n, c):
+        p = (n - 1) / 2.0
+        expected = 0.5 * special.beta(0.5, p + 1.0) * special.betainc(0.5, p + 1.0, c * c)
+        assume(expected > 0.0)  # c * c underflows for c below ~1e-154
+        assert bounds._cap_integral(p, c) == pytest.approx(expected, rel=1e-13)
 
     def test_monotone_in_y(self):
         values = [bounds.eval_F(3, 2.0, y) for y in (1.0, 2.0, 4.0, 8.0)]
@@ -161,6 +171,3 @@ class TestMarinChain:
         )
         assert lhs <= mid + 1e-12
         assert mid <= rhs + 1e-12
-
-    def test_trivial_lower(self):
-        assert bounds.trivial_lower(0.5) == 0.25

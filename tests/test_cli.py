@@ -1,9 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import latpack
 from latpack import cli, museq
 from latpack.acceptance import D_TABLE
 
@@ -161,7 +166,7 @@ class TestApprox:
 
 
 class TestExitCodes:
-    def test_input_error(self, capsys, monkeypatch):
+    def test_input_error(self, capsys, monkeypatch, tmp_path):
         assert cli.run(["lattice", "report", "--s", "2,3"]) == 1
         assert cli.run(["lattice", "report", "--s", "1"]) == 1
         assert cli.run(["museq", "certify", "--s", "1", "--mu", "3"]) == 1
@@ -169,6 +174,16 @@ class TestExitCodes:
             assert cli.run(["museq", "obstructions", "--s", "1,2", "--mu", mu,
                             "--lo", lo, "--hi", hi]) == 1
         capsys.readouterr()
+        path = tmp_path / "gram.json"
+        for text in ('{"gram": [[1, 2], [3]]}', '{"gram": [[1, "x"], ["x", 1]]}',
+                     '{"gram": [[Infinity]]}', "5", '"xgramx"', '{"gram": [[1]'):
+            path.write_text(text)
+            assert cli.run(["approx", "--gram", str(path), "--kappa", "10"]) == 1
+            assert capsys.readouterr().err.count("\n") == 1
+        path.write_text('{"gram": [[1]]}')
+        for kappa in ("nan", "inf"):
+            assert cli.run(["approx", "--gram", str(path), "--kappa", kappa]) == 1
+            assert capsys.readouterr().err.count("\n") == 1
         for budget in ("abc", "-5"):
             monkeypatch.setenv("LATPACK_ENUM_BUDGET", budget)
             assert cli.run(["lattice", "report", "--s", "1,2,3"]) == 1
@@ -224,3 +239,22 @@ class TestVerifySweep:
 
         _, payload = verify_paper
         assert untimed(payload["outputs"]["checks"]) == untimed(sweep)
+
+
+def test_runtime_needs_neither_numpy_nor_scipy():
+    """Block both imports, then run every former numpy/scipy call site."""
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = sys.modules["scipy"] = None
+        from latpack import approx, bounds, thetaflow
+        target = approx.TargetGram.from_matrix([[2.0, 1.0], [1.0, 2.0]])
+        approx.verify_approximation(target, approx.approximate(target, 50.0))
+        # kmax = 707 > 400 terms at n = 9: the Euler-Maclaurin path
+        assert bounds.eval_F(9, 2.0, 500.0) > 0.0
+        thetaflow.asymptotic_fit(thetaflow.iterate_d(4), (1, 2, 3, 4))
+    """)
+    src = os.path.dirname(os.path.dirname(latpack.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

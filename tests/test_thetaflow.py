@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from latpack import thetaflow
@@ -128,34 +129,18 @@ class TestIterateD:
         assert fit.c1 == pytest.approx(119.58193, rel=0.01)
         assert abs(trace.row(1024).d - fit.predict(1024)) < 1e-5
 
+    @pytest.mark.parametrize("ladder", [(128, 256, 512, 1024), (8, 16, 32, 64),
+                                        (100, 300, 700, 1000)])
+    def test_fit_matches_float_solve(self, trace, ladder):
+        vand = np.vander([1.0 / n for n in ladder], 4, increasing=True)
+        expected = np.linalg.solve(vand, [trace.row(n).d for n in ladder])
+        fit = thetaflow.asymptotic_fit(trace, ladder)
+        assert [fit.c0, fit.c1, fit.c2, fit.c3] == pytest.approx(expected, rel=1e-9)
+
     def test_fit_validation(self, trace):
-        with pytest.raises(InputError):
-            thetaflow.asymptotic_fit(trace, (128, 128, 512, 1024))
+        for ladder in ((128, 128, 512, 1024), (128, 128, 256, 512, 1024),
+                       (0, 128, 256, 512), (-1, 128, 256, 512)):
+            with pytest.raises(InputError):
+                thetaflow.asymptotic_fit(trace, ladder)
         with pytest.raises(InputError):
             thetaflow.asymptotic_fit(trace, (128, 256, 512, 2048))
-
-
-class TestPerturbed:
-    def test_linear_maps_converge_to_zero(self):
-        maps = [lambda x, n=n: x / 2.0 + 1.0 / n for n in range(1, 61)]
-        values = thetaflow.iterate_perturbed(maps, 1.0, 60)
-        assert abs(values[-1]) < 0.05
-
-    def test_omega_reproduces_table_column(self):
-        maps = [thetaflow.omega] * 7
-        values = thetaflow.iterate_perturbed(maps, 2.0, 7)
-        assert values[0] == pytest.approx(D_TABLE[2][1], abs=1e-7)
-        assert values[6] == pytest.approx(D_TABLE[8][1], abs=1e-6)
-
-    def test_constant_maps(self):
-        maps = [lambda x: 5.0] * 3
-        assert thetaflow.iterate_perturbed(maps, 1.0, 3) == [5.0, 5.0, 5.0]
-
-    def test_domain_escape(self):
-        maps = [lambda x: float("nan")]
-        with pytest.raises(InputError):
-            thetaflow.iterate_perturbed(maps, 1.0, 1)
-
-    def test_error_bounds(self):
-        bounds_seq = thetaflow.perturbation_error_bounds(0.5, 1.0, [0.1, 0.1])
-        assert bounds_seq == pytest.approx([0.6, 0.4])
