@@ -80,21 +80,31 @@ def _eval_F_large(n, x, y, kmax):
     return total
 
 
+def _check_nx(what: str, n: int, x: float) -> None:
+    if n < 2:
+        raise InputError(f"{what} requires n >= 2, got {n}")
+    if not 0.0 < x < math.inf:  # also refuses NaN
+        raise InputError(f"{what} requires a finite x > 0, got {x}")
+
+
 def eval_F(n: int, x: float, y: float) -> float:
     """F_n(x, y) = sum_{k <= sqrt(x) y} w(k, n) (x - (k/y)^2)^((n-1)/2)."""
-    if n < 2:
-        raise InputError(f"eval_F requires n >= 2, got {n}")
-    if x <= 0 or y < 0:
-        raise InputError("eval_F requires x > 0 and y >= 0")
+    _check_nx("eval_F", n, x)
+    if not 0.0 <= y < math.inf:
+        raise InputError(f"eval_F requires a finite y >= 0, got {y}")
     if y == 0.0 or y <= 1.0 / math.sqrt(x):
         return 0.0
-    kmax = math.floor(math.sqrt(x) * y)
+    terms = math.sqrt(x) * y
     # Euler-Maclaurin converges like the (n-3)rd derivative at the cell
     # scale; n = 3, 4 need a much later crossover than n >= 5.
     threshold = _K_EXACT if n <= 4 else 400
-    if kmax <= threshold or n == 2:
-        return _eval_F_exact(n, x, y, kmax)
-    return _eval_F_large(n, x, y, kmax)
+    try:
+        if terms < threshold + 1 or n == 2:  # floor(terms) <= threshold
+            numth.check_mobius_terms(terms, "eval_F")
+            return _eval_F_exact(n, x, y, math.floor(terms))
+        return _eval_F_large(n, x, y, math.floor(terms))
+    except OverflowError as exc:
+        raise InputError(f"F_{n}({x}, {y}) overflows a float") from exc
 
 
 def eval_Y(n: int, x: float) -> float:
@@ -104,6 +114,11 @@ def eval_Y(n: int, x: float) -> float:
     `numth.bisect_increasing` from there is safe.  The solution can sit
     near x^(-n/2), astronomically large for small x at high dimension.
     """
+    _check_nx("eval_Y", n, x)
+    if n == 2:
+        # Each of the floor(sqrt(x) y) terms of F_2 is at most sqrt(x), so
+        # the root needs 1/(2 sqrt(x)) terms or more, all summed one by one.
+        numth.check_mobius_terms(0.5 / math.sqrt(x), "eval_Y")
     lo = 1.0 / math.sqrt(x)
     return numth.bisect_increasing(
         lambda y: eval_F(n, x, y), 1.0 / numth.ball_volume(n - 1),
@@ -118,6 +133,7 @@ def eval_C(n: int, x: float) -> float:
     golden-section refinement of the best bracket; the right-edge value
     is always included.
     """
+    _check_nx("eval_C", n, x)
 
     def value(xi):
         return xi * eval_Y(n, xi) ** (2.0 / n)
@@ -216,8 +232,10 @@ def check_theorem1(n, delta_prev, delta_cur, form="center"):
     Hermite forms are evaluated after algebraic conversion and must
     agree with the center form to high accuracy.
     """
-    if delta_prev <= 0 or delta_cur <= 0:
-        raise InputError("densities must be positive")
+    if not (0.0 < delta_prev < math.inf and 0.0 < delta_cur < math.inf):
+        raise InputError("densities must be finite and positive")
+    # Every form sums over k <= 2 delta_cur / delta_prev.
+    numth.check_mobius_terms(2.0 * delta_cur / delta_prev, "check_theorem1")
     if form == "center":
         return _lhs_center(n, delta_prev, delta_cur) - 1.0
     if form == "density":
@@ -239,9 +257,13 @@ def mordell_upper(n: int, gamma_prev: float) -> float:
     """Mordell's bound gamma_n <= gamma_{n-1}^((n-1)/(n-2))."""
     if n < 3:
         raise InputError(f"mordell_upper requires n >= 3, got {n}")
-    if gamma_prev <= 0:
-        raise InputError("gamma must be positive")
-    return gamma_prev ** ((n - 1) / (n - 2))
+    if not 0.0 < gamma_prev < math.inf:
+        raise InputError("gamma must be finite and positive")
+    try:
+        return gamma_prev ** ((n - 1) / (n - 2))
+    except OverflowError as exc:
+        msg = f"the Mordell bound for gamma = {gamma_prev} overflows a float"
+        raise InputError(msg) from exc
 
 
 def marin_chain(n: int, delta_prev: float, delta_cur: float):

@@ -1,19 +1,20 @@
 """Command-line surface for the lattice construction toolkit.
 
-Every subcommand prints a JSON report envelope on stdout: the parsed
-inputs, the command-specific payload, and a meta block with the tool
-version, elapsed milliseconds and the tolerance settings in force.  The
-theta table additionally supports CSV output.  Exit codes: 0 success,
-1 input error, 2 resource-budget error.
+Each subcommand is one row of `COMMANDS`: name, help, handler, options and
+tolerance strings.  A handler takes the parsed options as keywords and
+returns its outputs, or None once it has written CSV (`theta table --csv`).
+`run` prints one strict-JSON envelope on stdout: the parsed options as
+inputs, the outputs, and a meta block with the tool version, elapsed
+milliseconds and tolerances.  Exit codes: 0 success, 1 input error,
+2 resource-budget error, each error with one line on stderr.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
 from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 from . import __version__, approx, bounds, lattice, museq, thetaflow
 from .acceptance import acceptance_sweep
@@ -21,244 +22,91 @@ from .errors import InputError, ResourceBudgetError
 from .lattice import SVector
 
 
-def _parse_s(text: str) -> SVector:
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, the value type of `--s` and `--ladder`."""
     try:
-        entries = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InputError(f"could not parse s from {text!r}: {exc}") from exc
-    return SVector(entries)
+        raise InputError(f"could not parse {text!r} as integers: {exc}") from exc
 
 
-def _envelope(command, inputs, outputs, started, tolerances=None):
+def _museq_greedy(mu, dim):
+    seq = museq.greedy_sequence(mu, dim)
+    return {"s": list(seq.s.entries), "certified": seq.certified}
+
+
+def _museq_certify(s, mu):
+    minimum, witness = lattice.shortest_vector(lattice.basis_from_s(SVector(s)), upper=mu)
+    certified = witness is None
+    return {"certified": certified, "minimum_at_least": mu if certified else None,
+            "violating_norm": None if certified else minimum,
+            "witness": None if certified else list(witness)}
+
+
+def _museq_obstructions(s, mu, lo, hi):
+    s = SVector(s)
+    interval = museq.IntervalSpec.from_bounds(lo, hi, mu, len(s.entries))
+    report = museq.interval_obstructions(s, mu, interval)
+    # String keys: the JSON text sorts them as strings, as it always has.
     return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "meta": {
-            "version": __version__,
-            "elapsed_ms": round(1000.0 * (time.monotonic() - started), 3),
-            "tolerances": tolerances or {},
+        "k_max": report.k_max,
+        "A": report.A,
+        "obstructed": {str(k): v for k, v in report.obstructed.items()},
+        "witness_counts": {
+            str(k): {"X_k0": v[0], "X_k0_primitive": v[1]}
+            for k, v in report.witness_counts.items()
         },
+        "residue_counts": {str(k): v for k, v in report.residue_counts.items()},
+        "union": report.union,
+        "union_size": report.union_size,
+        "sigma": interval.sigma,
+        "sigma_tilde": interval.sigma_tilde,
+        "epsilon": interval.epsilon,
+        "smallest_unobstructed": museq.smallest_unobstructed(report, interval),
     }
 
 
-def _emit(envelope) -> None:
-    json.dump(envelope, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _lattice_report(s):
+    report = lattice.density_report(SVector(s))
+    return dict(asdict(report), witness=list(report.witness))
 
 
-# ---------------------------------------------------------------- museq
-
-
-def _cmd_museq_greedy(args, started):
-    seq = museq.greedy_sequence(args.mu, args.dim)
-    return _envelope(
-        "museq greedy",
-        {"mu": args.mu, "dim": args.dim},
-        {"s": list(seq.s.entries), "certified": seq.certified},
-        started,
-        {"svp": "exact integer arithmetic"},
-    )
-
-
-def _cmd_museq_certify(args, started):
-    s = _parse_s(args.s)
-    minimum, witness = lattice.shortest_vector(
-        lattice.basis_from_s(s), upper=args.mu
-    )
-    certified = witness is None
-    return _envelope(
-        "museq certify",
-        {"s": list(s.entries), "mu": args.mu},
-        {
-            "certified": certified,
-            "minimum_at_least": args.mu if certified else None,
-            "violating_norm": None if certified else minimum,
-            "witness": None if certified else list(witness),
-        },
-        started,
-        {"svp": "exact integer arithmetic"},
-    )
-
-
-def _cmd_museq_obstructions(args, started):
-    s = _parse_s(args.s)
-    interval = museq.IntervalSpec.from_bounds(args.lo, args.hi, args.mu, len(s.entries))
-    report = museq.interval_obstructions(s, args.mu, interval)
-    return _envelope(
-        "museq obstructions",
-        {"s": list(s.entries), "mu": args.mu, "lo": args.lo, "hi": args.hi},
-        {
-            "k_max": report.k_max,
-            "A": report.A,
-            "obstructed": {str(k): v for k, v in report.obstructed.items()},
-            "witness_counts": {
-                str(k): {"X_k0": v[0], "X_k0_primitive": v[1]}
-                for k, v in report.witness_counts.items()
-            },
-            "residue_counts": {
-                str(k): v for k, v in report.residue_counts.items()
-            },
-            "union": report.union,
-            "union_size": report.union_size,
-            "sigma": interval.sigma,
-            "sigma_tilde": interval.sigma_tilde,
-            "epsilon": interval.epsilon,
-            "smallest_unobstructed": museq.smallest_unobstructed(report, interval),
-        },
-        started,
-        {"enumeration": "exact"},
-    )
-
-
-# -------------------------------------------------------------- lattice
-
-
-def _cmd_lattice_report(args, started):
-    s = _parse_s(args.s)
-    report = lattice.density_report(s)
-    payload = asdict(report)
-    payload["witness"] = list(report.witness)
-    return _envelope(
-        "lattice report",
-        {"s": list(s.entries)},
-        payload,
-        started,
-        {"minimum": "exact", "determinant": "exact", "densities": "float64"},
-    )
-
-
-# --------------------------------------------------------------- bounds
-
-
-def _cmd_bounds_f(args, started):
-    if args.y is None:
+def _bounds_f(n, x, y):
+    if y is None:
         raise InputError("bounds f requires --y")
-    value = bounds.eval_F(args.n, args.x, args.y)
-    return _envelope(
-        "bounds f",
-        {"n": args.n, "x": args.x, "y": args.y},
-        {"F": value},
-        started,
-        {"F": "exact sum below crossover, Euler-Maclaurin above"},
-    )
+    return {"F": bounds.eval_F(n, x, y)}
 
 
-def _cmd_bounds_y(args, started):
-    value = bounds.eval_Y(args.n, args.x)
-    return _envelope(
-        "bounds y",
-        {"n": args.n, "x": args.x},
-        {"Y": value},
-        started,
-        {"Y": "bisection to float spacing"},
-    )
+def _bounds_cn(n, x):
+    value = bounds.eval_C(n, x)
+    return {"C": value,
+            "center_density_bound": bounds.convert("hermite", "center", value, n)}
 
 
-def _cmd_bounds_cn(args, started):
-    value = bounds.eval_C(args.n, args.x)
-    delta_bound = bounds.convert("hermite", "center", value, args.n)
-    return _envelope(
-        "bounds cn",
-        {"n": args.n, "x": args.x},
-        {"C": value, "center_density_bound": delta_bound},
-        started,
-        {"C": "256-point geometric grid with golden-section refinement"},
-    )
+def _bounds_theorem1(n, delta_prev, delta, form):
+    residual = bounds.check_theorem1(n, delta_prev, delta, form=form)
+    return {"residual": residual, "holds": residual >= 0.0}
 
 
-def _cmd_bounds_theorem1(args, started):
-    residual = bounds.check_theorem1(
-        args.n, args.delta_prev, args.delta, form=args.form
-    )
-    return _envelope(
-        "bounds theorem1",
-        {
-            "n": args.n,
-            "delta_prev": args.delta_prev,
-            "delta": args.delta,
-            "form": args.form,
-        },
-        {"residual": residual, "holds": residual >= 0.0},
-        started,
-        {"residual": "float64 finite sum"},
-    )
-
-
-def _cmd_bounds_mordell(args, started):
-    value = bounds.mordell_upper(args.n, args.gamma)
-    return _envelope(
-        "bounds mordell",
-        {"n": args.n, "gamma": args.gamma},
-        {"gamma_upper": value},
-        started,
-    )
-
-
-# ---------------------------------------------------------------- theta
-
-
-def _cmd_theta_fixpoint(args, started):
-    xi, deriv = thetaflow.fixpoint()
-    return _envelope(
-        "theta fixpoint",
-        {},
-        {"xi": xi, "derivative": deriv},
-        started,
-        {"tau": "truncated at 1e-15 relative"},
-    )
-
-
-def _theta_rows(max_n):
+def _theta_table(max_n, csv):
     trace = thetaflow.iterate_d(max_n)
-    return trace, [asdict(row) for row in trace.rows]
-
-
-def _cmd_theta_table(args, started):
-    trace, rows = _theta_rows(args.max_n)
-    if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "d", "omega_iterate", "scaled_diff", "A"])
-        for row in rows:
-            writer.writerow(
-                [row["n"], row["d"], row["omega_iterate"], row["scaled_diff"], row["A"]]
-            )
-        sys.stdout.write(buf.getvalue())
+    if csv:
+        fields = ("n", "d", "omega_iterate", "scaled_diff", "A")
+        lines = [fields] + [[getattr(row, f) for f in fields] for row in trace.rows]
+        sys.stdout.write("".join(",".join(map(str, v)) + "\r\n" for v in lines))
         return None
-    return _envelope(
-        "theta table",
-        {"max_n": args.max_n},
-        {"rows": rows, "xi": trace.xi, "xi_derivative": trace.xi_derivative},
-        started,
-        {"f_step": "bisection, 1e-12 relative"},
-    )
+    return {"rows": [asdict(row) for row in trace.rows], "xi": trace.xi,
+            "xi_derivative": trace.xi_derivative}
 
 
-def _cmd_theta_fit(args, started):
-    ladder = tuple(int(x) for x in args.ladder.split(","))
+def _theta_fit(ladder):
     trace = thetaflow.iterate_d(max(ladder))
     fit = thetaflow.asymptotic_fit(trace, ladder)
-    return _envelope(
-        "theta fit",
-        {"ladder": list(ladder)},
-        {
-            "c0": fit.c0,
-            "c1": fit.c1,
-            "c2": fit.c2,
-            "c3": fit.c3,
-            "xi": trace.xi,
-        },
-        started,
-        {"fit": "exact 4-point Vandermonde solve"},
-    )
+    return {"c0": fit.c0, "c1": fit.c1, "c2": fit.c2, "c3": fit.c3, "xi": trace.xi}
 
 
-# ---------------------------------------------------------------- approx
-
-
-def _cmd_approx(args, started):
-    with open(args.gram, "r", encoding="utf-8") as handle:
+def _approx(gram, kappa, verify):
+    with open(gram, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except ValueError as exc:
@@ -268,164 +116,135 @@ def _cmd_approx(args, started):
     target = approx.TargetGram.from_matrix(data["gram"])
     if "n" in data and target.n != data["n"]:
         raise InputError("gram file 'n' does not match the matrix size")
-    result = approx.approximate(target, args.kappa)
-    payload = {
-        "kappa": result.kappa,
-        "B": [list(row) for row in result.B],
-        "v": list(result.v),
-        "s": list(result.s),
-        "gram_error": result.gram_error,
-        "saturation_det": approx.saturation_determinant(result),
-    }
-    if args.verify:
-        report = approx.verify_approximation(target, result)
-        payload["verification"] = asdict(report)
-    return _envelope(
-        "approx",
-        {"gram": args.gram, "kappa": args.kappa, "verify": args.verify},
-        payload,
-        started,
-        {"kernel": "exact", "gram_error": "float64 Frobenius"},
-    )
+    result = approx.approximate(target, kappa)
+    payload = {"kappa": result.kappa, "B": [list(row) for row in result.B],
+               "v": list(result.v), "s": list(result.s), "gram_error": result.gram_error,
+               "saturation_det": approx.saturation_determinant(result)}
+    if verify:
+        payload["verification"] = asdict(approx.verify_approximation(target, result))
+    return payload
 
 
-# ------------------------------------------------------------ verify paper
+def _verify_paper():
+    checks = acceptance_sweep()  # looked up at call time, so a tracer can wrap it
+    passed = sum(1 for c in checks if c["passed"])
+    return {"checks": checks, "passed": passed, "failed": len(checks) - passed}
 
 
-def _cmd_verify_paper(args, started):
-    checks = acceptance_sweep()
-    return _envelope(
-        "verify paper",
-        {},
-        {
-            "checks": checks,
-            "passed": sum(1 for c in checks if c["passed"]),
-            "failed": sum(1 for c in checks if not c["passed"]),
-        },
-        started,
-        {"sweep": "tolerances recorded per check"},
-    )
+class Command(NamedTuple):
+    name: str               # "group leaf", or one word for a top-level command
+    help: str
+    handler: Callable
+    options: tuple          # (flags, add_argument keywords) pairs
+    tolerances: dict = {}
 
 
-# ----------------------------------------------------------------- parser
+def _opt(*flags, **kwargs):
+    return flags, kwargs
+
+
+_N = _opt("--n", type=int, required=True)
+_X = _opt("--x", type=float, required=True)
+_MU = _opt("--mu", type=int, required=True)
+_S = _opt("--s", type=_int_list, required=True, help="comma-separated entries, s_0 = 1")
+_SVP = {"svp": "exact integer arithmetic"}
+
+GROUPS = {"museq": "mu-sequence construction", "lattice": "orthogonal-complement lattices",
+          "bounds": "density inequality machinery", "theta": "theta-tail fixed-point flow",
+          "verify": "verification sweeps"}
+
+COMMANDS = (
+    Command("museq greedy", "greedy mu-sequence", _museq_greedy,
+            (_MU, _opt("--dim", type=int, required=True)), _SVP),
+    Command("museq certify", "certify minimum >= mu", _museq_certify, (_S, _MU), _SVP),
+    Command("museq obstructions", "interval obstruction sets", _museq_obstructions,
+            (_S, _MU, _opt("--lo", type=float, required=True),
+             _opt("--hi", type=float, required=True)),
+            {"enumeration": "exact"}),
+    Command("lattice report", "exact minimum, determinant, densities",
+            _lattice_report, (_S,),
+            {"minimum": "exact", "determinant": "exact", "densities": "float64"}),
+    Command("bounds f", "evaluate F_n(x, y)", _bounds_f,
+            (_N, _X, _opt("--y", type=float)),
+            {"F": "exact sum below crossover, Euler-Maclaurin above"}),
+    Command("bounds y", "implicit inverse Y_n(x)",
+            lambda n, x: {"Y": bounds.eval_Y(n, x)}, (_N, _X),
+            {"Y": "bisection to float spacing"}),
+    Command("bounds cn", "envelope C_n(x) and the density bound", _bounds_cn, (_N, _X),
+            {"C": "256-point geometric grid with golden-section refinement"}),
+    Command("bounds theorem1", "lifting inequality residual", _bounds_theorem1,
+            (_N, _opt("--delta-prev", type=float, required=True),
+             _opt("--delta", type=float, required=True),
+             _opt("--form", choices=("density", "center", "hermite"), default="center")),
+            {"residual": "float64 finite sum"}),
+    Command("bounds mordell", "Mordell upper bound",
+            lambda n, gamma: {"gamma_upper": bounds.mordell_upper(n, gamma)},
+            (_N, _opt("--gamma", type=float, required=True))),
+    Command("theta fixpoint", "xi = 1/tau(1) and the derivative",
+            lambda: dict(zip(("xi", "derivative"), thetaflow.fixpoint())),
+            (), {"tau": "truncated at 1e-15 relative"}),
+    Command("theta table", "d_n recursion convergence table", _theta_table,
+            (_opt("--max-n", type=int, required=True), _opt("--csv", action="store_true")),
+            {"f_step": "bisection, 1e-12 relative"}),
+    Command("theta fit", "asymptotic 1/n expansion fit", _theta_fit,
+            (_opt("--ladder", type=_int_list, default="128,256,512,1024"),),
+            {"fit": "exact 4-point Vandermonde solve"}),
+    Command("approx", "integer approximation of a Gram target", _approx,
+            (_opt("--gram", required=True, help="JSON file {n, gram}"),
+             _opt("--kappa", type=float, required=True), _opt("--verify", action="store_true")),
+            {"kernel": "exact", "gram_error": "float64 Frobenius"}),
+    Command("verify paper", "run the full acceptance sweep", _verify_paper,
+            (), {"sweep": "tolerances recorded per check"}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="latpack",
-        description="dense lattices from orthogonal complements, with "
-        "exact certification and density-bound verification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_museq = sub.add_parser("museq", help="mu-sequence construction")
-    museq_sub = p_museq.add_subparsers(dest="subcommand", required=True)
-
-    p = museq_sub.add_parser("greedy", help="greedy mu-sequence")
-    p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.set_defaults(func=_cmd_museq_greedy)
-
-    p = museq_sub.add_parser("certify", help="certify minimum >= mu")
-    p.add_argument("--s", required=True, help="comma-separated entries, s_0 = 1")
-    p.add_argument("--mu", type=int, required=True)
-    p.set_defaults(func=_cmd_museq_certify)
-
-    p = museq_sub.add_parser("obstructions", help="interval obstruction sets")
-    p.add_argument("--s", required=True)
-    p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.set_defaults(func=_cmd_museq_obstructions)
-
-    p_lat = sub.add_parser("lattice", help="orthogonal-complement lattices")
-    lat_sub = p_lat.add_subparsers(dest="subcommand", required=True)
-    p = lat_sub.add_parser("report", help="exact minimum, determinant, densities")
-    p.add_argument("--s", required=True)
-    p.set_defaults(func=_cmd_lattice_report)
-
-    p_bounds = sub.add_parser("bounds", help="density inequality machinery")
-    bounds_sub = p_bounds.add_subparsers(dest="subcommand", required=True)
-
-    p = bounds_sub.add_parser("f", help="evaluate F_n(x, y)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float)
-    p.set_defaults(func=_cmd_bounds_f)
-
-    p = bounds_sub.add_parser("y", help="implicit inverse Y_n(x)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.set_defaults(func=_cmd_bounds_y)
-
-    p = bounds_sub.add_parser("cn", help="envelope C_n(x) and the density bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.set_defaults(func=_cmd_bounds_cn)
-
-    p = bounds_sub.add_parser("theorem1", help="lifting inequality residual")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta-prev", type=float, required=True, dest="delta_prev")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--form", choices=("density", "center", "hermite"),
-                   default="center")
-    p.set_defaults(func=_cmd_bounds_theorem1)
-
-    p = bounds_sub.add_parser("mordell", help="Mordell upper bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.set_defaults(func=_cmd_bounds_mordell)
-
-    p_theta = sub.add_parser("theta", help="theta-tail fixed-point flow")
-    theta_sub = p_theta.add_subparsers(dest="subcommand", required=True)
-
-    p = theta_sub.add_parser("fixpoint", help="xi = 1/tau(1) and the derivative")
-    p.set_defaults(func=_cmd_theta_fixpoint)
-
-    p = theta_sub.add_parser("table", help="d_n recursion convergence table")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=_cmd_theta_table)
-
-    p = theta_sub.add_parser("fit", help="asymptotic 1/n expansion fit")
-    p.add_argument("--ladder", default="128,256,512,1024")
-    p.set_defaults(func=_cmd_theta_fit)
-
-    p = sub.add_parser("approx", help="integer approximation of a Gram target")
-    p.add_argument("--gram", required=True, help="JSON file {n, gram}")
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=_cmd_approx)
-
-    p_verify = sub.add_parser("verify", help="verification sweeps")
-    verify_sub = p_verify.add_subparsers(dest="subcommand", required=True)
-    p = verify_sub.add_parser("paper", help="run the full acceptance sweep")
-    p.set_defaults(func=_cmd_verify_paper)
-
+    parser = argparse.ArgumentParser(prog="latpack", description="dense lattices from "
+                                     "orthogonal complements, with exact certification "
+                                     "and density-bound verification")
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for command in COMMANDS:
+        group, _, leaf = command.name.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = top.add_parser(group, help=GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True)
+        p = (groups[group] if group else top).add_parser(leaf, help=command.help)
+        for flags, kwargs in command.options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(run_command=command)
     return parser
 
 
+def _fail(message: str, code: int) -> int:
+    print(message, file=sys.stderr)
+    return code
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.monotonic()
     try:
-        envelope = args.func(args, started)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # Parsing sits inside the try: a bad `--s` or `--ladder` is exit 1.
+        args = vars(build_parser().parse_args(argv))
+        command = args.pop("run_command")
+        options = {k: v for k, v in args.items() if k not in ("command", "subcommand")}
+        started = time.monotonic()
+        outputs = command.handler(**options)
+    except (InputError, OSError) as exc:
+        return _fail(f"error: {exc}", 1)
     except ResourceBudgetError as exc:
-        print(
-            f"resource budget exceeded: {exc} "
-            f"(estimate {exc.estimate}, budget {exc.budget})",
-            file=sys.stderr,
-        )
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if envelope is not None:
-        _emit(envelope)
+        return _fail(f"resource budget exceeded: {exc} "
+                     f"(estimate {exc.estimate}, budget {exc.budget})", 2)
+    if outputs is None:
+        return 0
+    options.pop("csv", None)  # picks the output format; not an input
+    meta = {"version": __version__, "tolerances": command.tolerances,
+            "elapsed_ms": round(1000.0 * (time.monotonic() - started), 3)}
+    envelope = {"command": command.name, "inputs": options, "outputs": outputs, "meta": meta}
+    try:
+        text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity
+        return _fail(f"error: {exc}", 1)
+    sys.stdout.write(text + "\n")
     return 0
 
 

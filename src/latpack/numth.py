@@ -9,7 +9,7 @@ the bisection behind Y_n, psi and f_n.
 import math
 from functools import lru_cache
 
-from .errors import InputError
+from .errors import InputError, ResourceBudgetError
 
 #: Trial division is plenty at the scales this package needs; refuse
 #: anything that would make it slow.
@@ -37,6 +37,17 @@ def mobius(k: int) -> int:
     if k > 1:
         result = -result
     return result
+
+
+def check_mobius_terms(terms: float, what: str) -> None:
+    """Refuse a Moebius-weighted sum over more than `_MOBIUS_CAP` terms
+    before it starts: `mobius` would refuse the first term past the cap,
+    but only after ~cap^1.5 trial divisions on the terms below it."""
+    if not terms <= _MOBIUS_CAP:  # also refuses NaN
+        raise ResourceBudgetError(
+            f"{what} needs {terms:.3g} Moebius-weighted terms",
+            estimate=terms, budget=_MOBIUS_CAP,
+        )
 
 
 def divisors(k: int) -> list[int]:

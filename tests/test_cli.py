@@ -28,6 +28,24 @@ class TestEnvelope:
         assert "version" in payload["meta"]
         assert "tolerances" in payload["meta"]
 
+    def test_inputs_echo_parsed_options(self, capsys, tmp_path):
+        _, payload = run_json(capsys, ["museq", "certify", "--s", "1,2,3,4,5", "--mu", "3"])
+        assert payload["inputs"] == {"s": [1, 2, 3, 4, 5], "mu": 3}
+        _, payload = run_json(capsys, ["theta", "fit"])
+        assert payload["inputs"] == {"ladder": [128, 256, 512, 1024]}
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps({"gram": [[1.0, 0.0], [0.0, 1.0]]}))
+        _, payload = run_json(capsys, ["approx", "--gram", str(path), "--kappa", "10"])
+        assert payload["inputs"] == {"gram": str(path), "kappa": 10.0, "verify": False}
+        _, payload = run_json(capsys, ["theta", "table", "--max-n", "4"])
+        assert payload["inputs"] == {"max_n": 4}  # --csv picks a format, not an input
+
+    def test_strict_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.bounds, "eval_F", lambda n, x, y: float("nan"))
+        assert cli.run(["bounds", "f", "--n", "2", "--x", "4", "--y", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+
 
 class TestMuseq:
     def test_greedy(self, capsys):
@@ -206,6 +224,28 @@ class TestExitCodes:
 
     def test_parse_error(self, capsys):
         assert cli.run(["lattice", "report", "--s", "1,x"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        "bounds y --n 2 --x -1",
+        "bounds cn --n 3 --x 0",
+        "bounds f --n 2 --x 1 --y nan",
+        "bounds f --n 2 --x inf --y 1",
+        "bounds mordell --n 3 --gamma inf",
+        "bounds mordell --n 3 --gamma 1e308",
+        # past the Moebius cap: refused before the first term, not after 1e6
+        "bounds y --n 2 --x 1e-300",
+        "bounds theorem1 --n 3 --delta-prev 1e-10 --delta 1",
+        "bounds f --n 2 --x 1 --y 1e300",
+        "bounds theorem1 --n 3 --delta-prev 1e-300 --delta 1e300",
+        "theta fit --ladder 1,2,x",
+        "bounds f --n 3 --x 1e300 --y 1e10",  # F overflows a float
+    ])
+    def test_refused_with_one_line(self, capsys, argv):
+        code = cli.run(argv.split())
+        out, err = capsys.readouterr()
+        assert code in (1, 2)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out == ""
 
     def test_budget_error(self, capsys, monkeypatch):
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "2")
