@@ -77,7 +77,6 @@ def _gram_error(B, kappa, G) -> float:
 @dataclass(frozen=True)
 class ApproximationResult:
     kappa: float
-    L_tilde: tuple       # integer rounding of kappa * L
     B: tuple             # n x (n+1) integer matrix
     v: tuple             # integer kernel vector, v[0] = 1
     s: tuple             # absolute values of v
@@ -106,7 +105,6 @@ def approximate(target: TargetGram, kappa: float) -> ApproximationResult:
         v.append(-sum(b[i][j] * v[j] for j in range(i + 1)))
     return ApproximationResult(
         kappa=kappa,
-        L_tilde=tuple(tuple(row) for row in l_tilde),
         B=tuple(tuple(row) for row in b),
         v=tuple(v),
         s=tuple(abs(x) for x in v),
@@ -144,6 +142,7 @@ def verify_approximation(target: TargetGram, result: ApproximationResult):
         sum(bi * vi for bi, vi in zip(row, result.v)) == 0 for row in result.B
     )
     n = target.n
+    target_min = _float_gram_minimum(target.L)
     # Rayleigh-style exact minimum of the target is not available in
     # general; use the exact minimum of the integer lattice instead and
     # rescale, comparing center densities.
@@ -153,7 +152,6 @@ def verify_approximation(target: TargetGram, result: ApproximationResult):
     ) and result.s[0] == 1:
         lattice_delta = density_report(SVector(result.s)).center_density
     det = math.prod(target.L[i][i] for i in range(n)) ** 2
-    target_min = _float_gram_minimum(target.L)
     target_delta = math.exp(log_center_density(n, target_min, det))
     return VerificationReport(
         kappa=result.kappa,
@@ -170,5 +168,8 @@ def _float_gram_minimum(L) -> float:
     enumeration of the rows of L rounded to a fine integer grid."""
     scale = 10**6
     rows = [tuple(int(round(scale * x)) for x in row) for row in L]
-    minimum, _ = shortest_vector(rows)
+    try:
+        minimum, _ = shortest_vector(rows)
+    except InputError as exc:
+        raise InputError(f"the target's minimum search on a 1e-6 grid failed: {exc}") from exc
     return minimum / (scale * scale)

@@ -127,11 +127,12 @@ def eval_Y(n: int, x: float) -> float:
 
 
 def eval_C(n: int, x: float) -> float:
-    """Envelope C_n(x) = sup over 0 < ξ <= x of ξ Y_n(ξ)^(2/n).
+    """Envelope C_n(x), estimated as the sup over x/100 <= ξ <= x of
+    ξ Y_n(ξ)^(2/n).
 
     The sup is searched on a geometric grid over [x/100, x] with a
-    golden-section refinement of the best bracket; the right-edge value
-    is always included.
+    golden-section refinement of the best bracket; the right edge x is
+    the last grid point.
     """
     _check_nx("eval_C", n, x)
 
@@ -160,7 +161,7 @@ def eval_C(n: int, x: float) -> float:
             d = a + _PHI * (b - a)
             fd = value(d)
     refined = max(fc, fd)
-    return max(refined, max(values), value(x))
+    return max(refined, max(values))
 
 
 def convert(kind_from: str, kind_to: str, value: float, n: int) -> float:
@@ -236,20 +237,24 @@ def check_theorem1(n, delta_prev, delta_cur, form="center"):
         raise InputError("densities must be finite and positive")
     # Every form sums over k <= 2 delta_cur / delta_prev.
     numth.check_mobius_terms(2.0 * delta_cur / delta_prev, "check_theorem1")
-    if form == "center":
-        return _lhs_center(n, delta_prev, delta_cur) - 1.0
-    if form == "density":
-        return _lhs_density(
-            n,
-            convert("center", "density", delta_prev, n - 1),
-            convert("center", "density", delta_cur, n),
-        ) - 1.0
-    if form == "hermite":
-        return _lhs_hermite(
-            n,
-            convert("center", "hermite", delta_prev, n - 1),
-            convert("center", "hermite", delta_cur, n),
-        ) - 1.0
+    try:
+        if form == "center":
+            return _lhs_center(n, delta_prev, delta_cur) - 1.0
+        if form == "density":
+            return _lhs_density(
+                n,
+                convert("center", "density", delta_prev, n - 1),
+                convert("center", "density", delta_cur, n),
+            ) - 1.0
+        if form == "hermite":
+            return _lhs_hermite(
+                n,
+                convert("center", "hermite", delta_prev, n - 1),
+                convert("center", "hermite", delta_cur, n),
+            ) - 1.0
+    except (OverflowError, ZeroDivisionError) as exc:
+        # 2^(n-1) overflows, or V_n underflows to 0, past n ~ 1000
+        raise InputError(f"the {form} form at n = {n} leaves float range") from exc
     raise InputError(f"unknown form {form!r}")
 
 

@@ -10,9 +10,10 @@ class InputError(LatpackError):
 
 
 class ResourceBudgetError(LatpackError):
-    """An enumeration would exceed the configured node budget."""
+    """A computation would exceed its work budget (enumeration nodes,
+    half-ball points or Moebius terms)."""
 
-    def __init__(self, message, estimate=None, budget=None):
+    def __init__(self, message, estimate, budget):
         super().__init__(message)
         self.estimate = estimate
         self.budget = budget

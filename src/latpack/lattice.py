@@ -12,19 +12,18 @@ space so large entries cannot overflow.
 
 import math
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from . import numth
 from .errors import InputError, ResourceBudgetError
 
-#: Default node budget for shortest-vector enumeration; override with
-#: the LATPACK_ENUM_BUDGET environment variable.
+#: Default work budget: shortest-vector nodes, or half-ball points in
+#: `museq`; override with the LATPACK_ENUM_BUDGET environment variable.
 DEFAULT_ENUM_BUDGET = 10**8
 
 
 def enum_budget() -> int:
-    """The LATPACK_ENUM_BUDGET node budget (a positive integer), or the default."""
+    """The LATPACK_ENUM_BUDGET work budget (a positive integer), or the default."""
     value = os.environ.get("LATPACK_ENUM_BUDGET")
     if not value:
         return DEFAULT_ENUM_BUDGET
@@ -126,8 +125,8 @@ def _round_div(a, b):
     return q
 
 
-def lll_reduce(rows, delta=Fraction(99, 100)) -> list[tuple[int, ...]]:
-    """LLL reduction with Lovasz parameter delta (default 0.99).
+def lll_reduce(rows) -> list[tuple[int, ...]]:
+    """LLL reduction with Lovasz parameter 99/100.
 
     All-integer LLL: the Gram-Schmidt data d/lam of
     `integral_gram_schmidt` is computed once and updated in place on
@@ -137,8 +136,6 @@ def lll_reduce(rows, delta=Fraction(99, 100)) -> list[tuple[int, ...]]:
     b = [list(r) for r in rows]
     n = len(b)
     d, lam = integral_gram_schmidt(gram(b))
-    delta = Fraction(delta)
-    dn, dd = delta.numerator, delta.denominator
     k = 1
     while k < n:
         lk = lam[k]
@@ -151,8 +148,8 @@ def lll_reduce(rows, delta=Fraction(99, 100)) -> list[tuple[int, ...]]:
                 for i in range(j):
                     lk[i] -= q * lj[i]
         t = lk[k - 1]
-        # Lovasz: c_k >= (delta - mu_{k,k-1}^2) c_{k-1}, times d_k d_{k-1}
-        if dd * (d[k + 1] * d[k - 1] + t * t) >= dn * d[k] * d[k]:
+        # Lovasz: c_k >= (99/100 - mu_{k,k-1}^2) c_{k-1}, times 100 d_k d_{k-1}
+        if 100 * (d[k + 1] * d[k - 1] + t * t) >= 99 * d[k] * d[k]:
             k += 1
             continue
         b[k], b[k - 1] = b[k - 1], b[k]
@@ -201,7 +198,7 @@ def _node_estimate(d, limit) -> int:
     return math.ceil(total)
 
 
-def shortest_vector(rows, upper=None, budget=None):
+def shortest_vector(rows, upper=None):
     """Exact lattice minimum by depth-first enumeration.
 
     Returns (minimum, witness) with the witness in ambient coordinates,
@@ -210,7 +207,7 @@ def shortest_vector(rows, upper=None, budget=None):
     (upper, None) is returned when no vector of norm < upper exists
     (a certified "minimum >= upper" verdict); an `upper` above a reduced
     basis norm cannot certify, so the plain search answers it.  Past
-    `budget` nodes it raises ResourceBudgetError carrying the
+    `enum_budget()` nodes it raises ResourceBudgetError carrying the
     Gaussian-heuristic node count of the whole search (at least the
     nodes already visited).
     """
@@ -219,14 +216,16 @@ def shortest_vector(rows, upper=None, budget=None):
             "the basis is empty: the lattice has dimension 0 "
             "(s needs at least two entries)"
         )
-    if budget is None:
-        budget = enum_budget()
+    budget = enum_budget()
     reduced = lll_reduce(rows)
     g = gram(reduced)
     n = len(g)
     d, lam = integral_gram_schmidt(g)
-    # int / int true division is correctly rounded, however large d is
-    c = [d[i + 1] / d[i] for i in range(n)]
+    try:  # int / int true division is correctly rounded, however large d is
+        c = [d[i + 1] / d[i] for i in range(n)]
+    except OverflowError:
+        raise InputError("a squared Gram-Schmidt norm of the reduced basis "
+                         "exceeds float range") from None
     mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
 
     def exact_norm(coeffs):
@@ -309,14 +308,14 @@ class DensityReport:
     density: float
     center_density: float
     hermite: float
-    witness: tuple[int, ...] = field(default=None)
+    witness: tuple[int, ...]
 
 
-def density_report(s: SVector, budget=None) -> DensityReport:
+def density_report(s: SVector) -> DensityReport:
     """Exact minimum and determinant of Lambda(s) with Delta, delta, gamma."""
     n = s.dim
     det = determinant(s)
-    minimum, witness = shortest_vector(basis_from_s(s), budget=budget)
+    minimum, witness = shortest_vector(basis_from_s(s))
     log_delta = log_center_density(n, minimum, det)
     delta = math.exp(log_delta)
     density = math.exp(log_delta + numth.log_ball_volume(n))

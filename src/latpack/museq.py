@@ -19,7 +19,7 @@ from .lattice import SVector
 class MuSequence:
     mu: int
     s: SVector
-    certified: bool = False
+    certified: bool
 
 
 def _check_mu(mu):
@@ -55,19 +55,6 @@ class IntervalSpec:
         _check_interval(self.lo, self.hi)
 
     @classmethod
-    def from_sigmas(cls, sigma_tilde, sigma, mu, n):
-        """Interval [sigma_tilde mu^(n/2) V_n, sigma mu^(n/2) V_n]."""
-        _check_interval(sigma_tilde, sigma)
-        scale = _scale(mu, n)
-        return cls(
-            lo=sigma_tilde * scale,
-            hi=sigma * scale,
-            sigma=sigma,
-            sigma_tilde=sigma_tilde,
-            epsilon=sigma / sigma_tilde - 1.0,
-        )
-
-    @classmethod
     def from_bounds(cls, lo, hi, mu, n):
         """Raw [lo, hi] interval; sigmas are back-solved for reporting."""
         _check_interval(lo, hi)
@@ -97,28 +84,24 @@ class ObstructionReport:
     union_size: int
 
 
-def _check_ball_budget(n, bound, budget):
-    estimate = numth.ball_point_count_bound(n, max(int(bound), 1))
-    if estimate > budget:
-        raise ResourceBudgetError(
-            f"ball of squared radius {bound} in dimension {n} is too large",
-            estimate=estimate,
-            budget=budget,
-        )
-
-
-def _half_ball(s: SVector, mu: int, budget=None):
+def _half_ball(s: SVector, mu: int):
     """Yield (|z|^2, |<z, s>|, z) for z in Z^len(s), 0 < |z|^2 < mu - 1,
     one of each +/- pair: the z whose first nonzero entry is positive.
 
     Depth-first (Fincke-Pohst), carrying the norm and <z, s> down the
-    levels.  mu and the ball budget are checked before the walk starts.
+    levels.  mu and the ball's point count, against `lattice.enum_budget()`,
+    are checked before the walk starts.
     """
     _check_mu(mu)
-    if budget is None:
-        budget = lattice.enum_budget()
     entries = s.entries
-    _check_ball_budget(len(entries), mu - 1, budget)
+    budget = lattice.enum_budget()
+    estimate = numth.ball_point_count_bound(len(entries), mu - 1)
+    if estimate > budget:
+        raise ResourceBudgetError(
+            f"ball of squared radius {mu - 1} in dimension {len(entries)} is too large",
+            estimate=estimate,
+            budget=budget,
+        )
     last = len(entries) - 1
 
     def walk(i, norm, dot, z, started):
@@ -134,7 +117,7 @@ def _half_ball(s: SVector, mu: int, budget=None):
     return walk(0, 0, 0, (), False)
 
 
-def forbidden_values(s: SVector, mu: int, budget=None):
+def forbidden_values(s: SVector, mu: int):
     """Values a such that appending a would create a vector of norm < mu.
 
     Enumerates all +/- pairs z with 0 < |z|^2 < mu - 1 and all k >= 1
@@ -142,7 +125,7 @@ def forbidden_values(s: SVector, mu: int, budget=None):
     division is exact and positive.  Sorted and deduplicated.
     """
     out = set()
-    for norm, dot, _ in _half_ball(s, mu, budget):
+    for norm, dot, _ in _half_ball(s, mu):
         k = 1
         while norm + k * k < mu:
             if dot % k == 0 and dot // k > 0:
@@ -151,32 +134,30 @@ def forbidden_values(s: SVector, mu: int, budget=None):
     return sorted(out)
 
 
-def greedy_extend(s: SVector, mu: int, budget=None) -> int:
+def greedy_extend(s: SVector, mu: int) -> int:
     """Smallest positive value not forbidden for the next entry."""
-    forbidden = set(forbidden_values(s, mu, budget=budget))
+    forbidden = set(forbidden_values(s, mu))
     t = 1
     while t in forbidden:
         t += 1
     return t
 
 
-def greedy_sequence(mu: int, dim: int, budget=None) -> MuSequence:
+def greedy_sequence(mu: int, dim: int) -> MuSequence:
     """The lexicographically first mu-sequence out to the given dimension."""
     if mu < 2 or dim < 1:
         raise InputError("need mu >= 2 and dim >= 1")
     s = SVector((1,))
     for _ in range(dim):
-        s = s.extended(greedy_extend(s, mu, budget=budget))
-    return MuSequence(mu=mu, s=s, certified=certify(s, mu, budget=budget))
+        s = s.extended(greedy_extend(s, mu))
+    return MuSequence(mu=mu, s=s, certified=certify(s, mu))
 
 
-def certify(s: SVector, mu: int, budget=None) -> bool:
+def certify(s: SVector, mu: int) -> bool:
     """True iff the orthogonal lattice of s has minimum >= mu (exact SVP)."""
     if s.dim == 0:
         return True
-    minimum, witness = lattice.shortest_vector(
-        lattice.basis_from_s(s), upper=mu, budget=budget
-    )
+    _, witness = lattice.shortest_vector(lattice.basis_from_s(s), upper=mu)
     return witness is None
 
 
@@ -206,7 +187,7 @@ def greedy_density_bound(mu: int, n: int) -> float:
     )
 
 
-def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec, budget=None):
+def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec):
     """Exact enumeration of the obstruction sets over one interval.
 
     I_k collects the integers t in the interval with a witness x,
@@ -214,7 +195,7 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec, budget=No
     residue of <x, s> mod k; the primitive count drops witnesses that
     are h-fold multiples for a divisor h > 1 of k.
     """
-    points = _half_ball(s, mu, budget)
+    points = _half_ball(s, mu)
     n = len(s.entries)
     ks = range(1, math.isqrt(mu - 1) + 1)
     obstructed = {k: set() for k in ks}
@@ -266,9 +247,3 @@ def smallest_unobstructed(report: ObstructionReport, interval: IntervalSpec):
     while t in blocked:
         t += 1
     return t if t <= interval.hi else None
-
-
-def extend_in_interval(s: SVector, mu: int, interval: IntervalSpec, budget=None):
-    """Smallest unobstructed integer in the interval, or None."""
-    report = interval_obstructions(s, mu, interval, budget=budget)
-    return smallest_unobstructed(report, interval)

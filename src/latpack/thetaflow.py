@@ -10,7 +10,7 @@ power terms go through log1p so dimension 1024 is routine.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numth
@@ -19,6 +19,9 @@ from .errors import InputError
 
 #: Relative truncation of the theta series.
 _TAU_TOL = 1e-15
+
+#: Past this x, tau uses the Jacobi identity instead of its ~3.3x-term series.
+_JACOBI_X = 64.0
 
 
 def _tail(x: float, power: int) -> float:
@@ -36,9 +39,15 @@ def _tail(x: float, power: int) -> float:
 
 def tau(x: float) -> float:
     """Truncated theta tail sum_{k>=1} exp(-pi (k/x)^2); the neglected
-    tail is dominated by twice the first dropped term."""
-    if x <= 0:
+    tail is dominated by twice the first dropped term.
+
+    Past _JACOBI_X, the Jacobi identity tau(x) = x/2 - 1/2 + x tau(1/x)
+    gives x/2 - 1/2: x tau(1/x) < 2 x exp(-pi x^2) underflows to 0.
+    """
+    if not x > 0:  # also refuses NaN
         raise InputError(f"tau requires x > 0, got {x}")
+    if x > _JACOBI_X:
+        return 0.5 * x - 0.5
     return _tail(x, 0)
 
 
@@ -51,8 +60,8 @@ def tau_derivative(x: float) -> float:
 
 def psi(t: float) -> float:
     """Inverse of tau, bisected on (2t, 2t + 2) to 1e-13 * max(1, hi)."""
-    if t <= 0:
-        raise InputError(f"psi requires t > 0, got {t}")
+    if not 0 < 2.0 * t < math.inf:  # also refuses NaN
+        raise InputError(f"psi requires t > 0 with 2t finite, got {t}")
     # tau(x) < x/2 gives tau(lo) < t; x/2 - 1 < tau(x) gives tau(hi) > t.
     return numth.bisect_increasing(
         tau, t, max(2.0 * t, 1e-300), 2.0 * t + 2.0, rtol=1e-13, what="psi"
@@ -152,10 +161,6 @@ class AsymptoticFit:
     c1: float
     c2: float
     c3: float
-    ladder: tuple = field(default=(128, 256, 512, 1024))
-
-    def predict(self, n: int) -> float:
-        return self.c0 + self.c1 / n + self.c2 / n**2 + self.c3 / n**3
 
 
 def asymptotic_fit(trace: FlowTrace, ladder=(128, 256, 512, 1024)) -> AsymptoticFit:
@@ -172,4 +177,4 @@ def asymptotic_fit(trace: FlowTrace, ladder=(128, 256, 512, 1024)) -> Asymptotic
         f = rows[r][i] / rows[i][i]
         rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
     c0, c1, c2, c3 = (float(rows[i][4] / rows[i][i]) for i in range(4))
-    return AsymptoticFit(c0=c0, c1=c1, c2=c2, c3=c3, ladder=tuple(ladder))
+    return AsymptoticFit(c0=c0, c1=c1, c2=c2, c3=c3)

@@ -61,7 +61,6 @@ class TestApproximate:
     def test_identity_kappa_100(self):
         target = approx.TargetGram.from_matrix(I2)
         result = approx.approximate(target, 100.0)
-        assert result.L_tilde == ((100, 0), (0, 100))
         assert result.B == ((100, 1, 0), (0, 100, 1))
         assert result.v == (1, -100, 10000)
         assert result.s == (1, 100, 10000)

@@ -78,6 +78,15 @@ class TestEvalC:
         assert bounds.eval_C(3, 2.0 / SQRT3) <= gamma3 + 1e-9
         assert gamma3 <= 4.0 / 3.0
 
+    def test_right_edge_solved_once(self, monkeypatch):
+        calls = []
+        eval_Y = bounds.eval_Y
+        monkeypatch.setattr(bounds, "eval_Y", lambda n, x: calls.append(x) or eval_Y(n, x))
+        bounds.eval_C(3, 2.0 / SQRT3)
+        # 256 grid points (the last is x) + 2 golden-section seeds + 40 steps
+        assert len(calls) == 298
+        assert calls.count(2.0 / SQRT3) == 1
+
 
 class TestConvert:
     def test_delta_to_hermite(self):

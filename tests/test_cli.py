@@ -179,6 +179,17 @@ class TestApprox:
         path.write_text(json.dumps({"n": 3, "gram": [[1.0]]}))
         assert cli.run(["approx", "--gram", str(path), "--kappa", "10"]) == 1
 
+    def test_verify_outside_the_grid(self, capsys, tmp_path):
+        """The target's minimum is searched on a 1e-6 grid; one past float
+        range, or one that rounds to 0, is refused with one line."""
+        path = tmp_path / "gram.json"
+        for gram in ([[1e308, 1e308], [1e308, 1.7e308]], [[1e-300]]):
+            path.write_text(json.dumps({"gram": gram}))
+            argv = ["approx", "--gram", str(path), "--kappa", "10", "--verify"]
+            assert cli.run(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and "1e-6 grid" in err
+
     def test_missing_file(self, capsys):
         assert cli.run(["approx", "--gram", "/no/such/file", "--kappa", "10"]) == 1
 
@@ -239,6 +250,12 @@ class TestExitCodes:
         "bounds theorem1 --n 3 --delta-prev 1e-300 --delta 1e300",
         "theta fit --ladder 1,2,x",
         "bounds f --n 3 --x 1e300 --y 1e10",  # F overflows a float
+        # 2^(n-1) overflows, or V_n underflows to 0
+        "bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form center",
+        "bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form hermite",
+        "bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form density",
+        # reduced-basis Gram-Schmidt norms past float range
+        pytest.param(f"lattice report --s 1,{10**200},{10**400}", id="huge-entries"),
     ])
     def test_refused_with_one_line(self, capsys, argv):
         code = cli.run(argv.split())
@@ -250,6 +267,15 @@ class TestExitCodes:
     def test_budget_error(self, capsys, monkeypatch):
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "2")
         assert cli.run(["lattice", "report", "--s", "1,31,47,59"]) == 2
+
+    def test_budget_bounds_the_ball_walks(self, capsys, monkeypatch):
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", "2")
+        for argv in ("museq greedy --mu 3 --dim 2",
+                     "museq obstructions --s 1,2 --mu 3 --lo 1 --hi 10"):
+            assert cli.run(argv.split()) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert "ball of squared radius 2" in err
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -219,12 +219,13 @@ class TestShortestVector:
             assert sum(x * e for x, e in zip(witness, s.entries)) == 0
             assert sum(x * x for x in witness) == minimum
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         rows = lattice.basis_from_s(SVector((1, 31, 47, 59, 64)))
         estimates = []
         for budget in (3, 5):
+            monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(budget))
             with pytest.raises(ResourceBudgetError) as info:
-                lattice.shortest_vector(rows, budget=budget)
+                lattice.shortest_vector(rows)
             assert info.value.budget == budget
             assert info.value.estimate > budget
             estimates.append(info.value.estimate)

@@ -179,9 +179,10 @@ class TestForbiddenValues:
         with pytest.raises(InputError):
             museq.forbidden_values(SVector((1,)), 1)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", "1000")
         with pytest.raises(ResourceBudgetError):
-            museq.forbidden_values(SVector((1,) * 9), 10**6, budget=1000)
+            museq.forbidden_values(SVector((1,) * 9), 10**6)
 
 
 class TestGreedy:
@@ -235,10 +236,10 @@ class TestGreedy:
 
 class TestIntervalSpec:
     def test_sigma_round_trip(self):
-        spec = museq.IntervalSpec.from_sigmas(0.5, 0.6, 5, 3)
-        back = museq.IntervalSpec.from_bounds(spec.lo, spec.hi, 5, 3)
-        assert back.sigma == pytest.approx(0.6, rel=1e-12)
-        assert back.sigma_tilde == pytest.approx(0.5, rel=1e-12)
+        scale = 5**1.5 * 4.0 * math.pi / 3.0  # mu^(n/2) V_n at mu = 5, n = 3
+        spec = museq.IntervalSpec.from_bounds(0.5 * scale, 0.6 * scale, 5, 3)
+        assert spec.sigma == pytest.approx(0.6, rel=1e-12)
+        assert spec.sigma_tilde == pytest.approx(0.5, rel=1e-12)
         assert spec.epsilon == pytest.approx(0.2, rel=1e-12)
 
     def test_integers(self):
@@ -250,8 +251,6 @@ class TestIntervalSpec:
                        (math.nan, 3.0)):
             with pytest.raises(InputError):
                 museq.IntervalSpec.from_bounds(lo, hi, 3, 2)
-            with pytest.raises(InputError):
-                museq.IntervalSpec.from_sigmas(lo, hi, 3, 2)
 
     def test_rejects_small_mu(self):
         with pytest.raises(InputError):
@@ -292,13 +291,16 @@ class TestObstructions:
 
     def test_extend_in_interval(self):
         s = SVector((1, 2))
-        hit = museq.IntervalSpec.from_bounds(3.0, 10.0, 3, 2)
-        assert museq.extend_in_interval(s, 3, hit) == 3
-        blocked = museq.IntervalSpec.from_bounds(1.0, 2.0, 3, 2)
-        assert museq.extend_in_interval(s, 3, blocked) is None
+
+        def smallest(lo, hi):
+            interval = museq.IntervalSpec.from_bounds(lo, hi, 3, 2)
+            report = museq.interval_obstructions(s, 3, interval)
+            return museq.smallest_unobstructed(report, interval)
+
+        assert smallest(3.0, 10.0) == 3
+        assert smallest(1.0, 2.0) is None
         # the interval's integers are walked lazily, never listed
-        wide = museq.IntervalSpec.from_bounds(1.0, 1e300, 3, 2)
-        assert museq.extend_in_interval(s, 3, wide) == 3
+        assert smallest(1.0, 1e300) == 3
 
     @pytest.mark.parametrize("mu", [3, 4, 5, 6])
     def test_membership_matches_svp(self, mu):

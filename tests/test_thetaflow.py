@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -26,6 +30,14 @@ class TestTau:
         with pytest.raises(InputError):
             thetaflow.tau(0.0)
 
+    def test_jacobi_branch_continues_the_series(self):
+        # tau(x) = x/2 - 1/2 + x tau(1/x), and x tau(1/x) underflows past 8
+        for x in (8.0, 16.0, 32.0, 63.5, 64.0):
+            assert thetaflow.tau(x) == pytest.approx(0.5 * x - 0.5, rel=1e-14)
+        above = math.nextafter(thetaflow._JACOBI_X, math.inf)
+        below = thetaflow.tau(thetaflow._JACOBI_X)
+        assert thetaflow.tau(above) == pytest.approx(below, rel=1e-14)
+
     def test_derivative_finite_difference(self):
         h = 1e-6
         for x in (1.0, 2.5, 8.0):
@@ -40,6 +52,28 @@ class TestPsi:
 
     def test_bracket(self):
         assert 1.0 < thetaflow.psi(0.5) < 3.0
+
+    def test_huge_arguments_return(self):
+        """psi(t) ~ 2t + 1 and omega(x) ~ 2 + x at the ends of float range;
+        run apart, so a hang fails the test instead of stalling the suite."""
+        code = textwrap.dedent("""
+            from latpack import thetaflow
+            from latpack.errors import InputError
+            assert abs(thetaflow.psi(1e12) - (2e12 + 1)) < 0.5
+            assert thetaflow.psi(1e300) == 2e300
+            assert abs(thetaflow.omega(1e-300) - 2.0) < 1e-15
+            for t in (1e308, float("inf"), float("nan")):
+                try:
+                    thetaflow.psi(t)
+                except InputError:
+                    continue
+                raise AssertionError(t)
+        """)
+        src = os.path.dirname(os.path.dirname(thetaflow.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOmega:
@@ -127,7 +161,9 @@ class TestIterateD:
         fit = thetaflow.asymptotic_fit(trace)
         assert fit.c0 == pytest.approx(23.13882534, abs=1e-4)
         assert fit.c1 == pytest.approx(119.58193, rel=0.01)
-        assert abs(trace.row(1024).d - fit.predict(1024)) < 1e-5
+        n = 1024
+        predicted = fit.c0 + fit.c1 / n + fit.c2 / n**2 + fit.c3 / n**3
+        assert abs(trace.row(n).d - predicted) < 1e-5
 
     @pytest.mark.parametrize("ladder", [(128, 256, 512, 1024), (8, 16, 32, 64),
                                         (100, 300, 700, 1000)])
