@@ -1,14 +1,16 @@
 """Density inequality machinery.
 
-Evaluates the Moebius-weighted sum F_n(x, y) (by Euler-Maclaurin with a
-cap-integral recurrence past a term-count crossover), its implicit inverse
-Y_n(x) defined by F_n(x, Y_n(x)) = 1/V_{n-1}, the increasing envelope
+Evaluates the Moebius-weighted sum F_n(x, y) (term by term with
+`numth.cap_sum`, or by Euler-Maclaurin with a cap-integral recurrence past
+a term-count crossover), its implicit inverse Y_n(x) defined by
+F_n(x, Y_n(x)) = 1/V_{n-1}, the increasing envelope
 C_n(x) = sup ξ Y_n(ξ)^{2/n}, instance checks of the dimension-lifting
-inequality in its three equivalent forms (one Moebius power sum, each
-form with its own summand formula), Mordell's upper bound and the
-elementary chain that recovers the 2^{1-n} packing bound.
+inequality in its three equivalent forms (each a prefactor and a cap-sum
+step derived from its own scale's variables), Mordell's upper bound and
+the elementary chain that recovers the 2^{1-n} packing bound.
 """
 
+import functools
 import math
 
 from . import numth
@@ -20,18 +22,6 @@ _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Euler-Maclaurin evaluation takes over (it gets *more* accurate as the
 #: term count grows, and is within ~1e-9 at the crossover).
 _K_EXACT = 20000
-
-
-def _eval_F_exact(n, x, y, kmax):
-    total = 0.0
-    for k in range(1, kmax + 1):
-        base = x - (k / y) ** 2
-        if base <= 0.0:
-            continue
-        total += numth.mobius_weight(k, n) * math.exp(
-            ((n - 1) / 2.0) * math.log(base)
-        )
-    return total
 
 
 def _cap_integral(p, c):
@@ -100,8 +90,8 @@ def eval_F(n: int, x: float, y: float) -> float:
     threshold = _K_EXACT if n <= 4 else 400
     try:
         if terms < threshold + 1 or n == 2:  # floor(terms) <= threshold
-            numth.check_mobius_terms(terms, "eval_F")
-            return _eval_F_exact(n, x, y, math.floor(terms))
+            p = (n - 1) / 2.0
+            return x**p * numth.cap_sum(1.0 / terms, p, n)
         return _eval_F_large(n, x, y, math.floor(terms))
     except OverflowError as exc:
         raise InputError(f"F_{n}({x}, {y}) overflows a float") from exc
@@ -185,47 +175,45 @@ def convert(kind_from: str, kind_to: str, value: float, n: int) -> float:
     return 4.0 * delta ** (2.0 / n)
 
 
-def _mobius_sum(n: int, kmax: int, base) -> float:
-    """sum_{k <= kmax} w(k, n) base(k)^((n-1)/2), skipping base(k) <= 0."""
-    total = 0.0
-    for k in range(1, kmax + 1):
-        b = base(k)
-        if b <= 0.0:
-            continue
-        total += numth.mobius_weight(k, n) * b ** ((n - 1) / 2.0)
-    return total
-
-
 def _lhs_center(n: int, delta_prev: float, delta_cur: float) -> float:
     """Center-density form of the lifting inequality, left-hand side."""
-    kmax = math.floor(2.0 * delta_cur / delta_prev)
     vol = numth.ball_volume(n - 1)
-    return 2.0 ** (n - 1) * delta_prev * vol * _mobius_sum(
-        n, kmax, lambda k: 1.0 - (k * delta_prev / (2.0 * delta_cur)) ** 2
+    return 2.0 ** (n - 1) * delta_prev * vol * numth.cap_sum(
+        delta_prev / (2.0 * delta_cur), (n - 1) / 2.0, n
     )
 
 
 def _lhs_density(n: int, density_prev: float, density_cur: float) -> float:
     vn1 = numth.ball_volume(n - 1)
     vn = numth.ball_volume(n)
-    kmax = math.floor(2.0 * density_cur * vn1 / (density_prev * vn))
-    return 2.0 ** (n - 1) * density_prev * _mobius_sum(
-        n, kmax,
-        lambda k: 1.0 - (k * density_prev * vn / (2.0 * density_cur * vn1)) ** 2,
+    return 2.0 ** (n - 1) * density_prev * numth.cap_sum(
+        density_prev * vn / (2.0 * density_cur * vn1), (n - 1) / 2.0, n
     )
 
 
 def _lhs_hermite(n: int, gamma_prev: float, gamma_cur: float) -> float:
-    vn1 = numth.ball_volume(n - 1)
-    kmax = math.floor(
-        math.exp((n / 2.0) * math.log(gamma_cur)
-                 - ((n - 1) / 2.0) * math.log(gamma_prev))
-    )
-    return vn1 * _mobius_sum(
-        n, kmax, lambda k: gamma_prev - k * k * (gamma_prev / gamma_cur) ** n
-    )
+    p = (n - 1) / 2.0
+    step = math.exp(p * math.log(gamma_prev) - (n / 2.0) * math.log(gamma_cur))
+    return numth.ball_volume(n - 1) * gamma_prev**p * numth.cap_sum(step, p, n)
 
 
+def _lifting(evaluate):
+    """Refuse center densities that are not finite and positive, and turn
+    a float overflow or underflow of `evaluate` into InputError."""
+    @functools.wraps(evaluate)
+    def guarded(n, delta_prev, delta_cur, *args, **kwargs):
+        if not (0.0 < delta_prev < math.inf and 0.0 < delta_cur < math.inf):
+            raise InputError("densities must be finite and positive")
+        try:
+            return evaluate(n, delta_prev, delta_cur, *args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            # 2^(n-1) overflows, or V_n underflows to 0, past n ~ 1000
+            msg = f"the lifting inequality at n = {n} leaves float range"
+            raise InputError(msg) from exc
+    return guarded
+
+
+@_lifting
 def check_theorem1(n, delta_prev, delta_cur, form="center"):
     """LHS - 1 residual of the lifting inequality in the chosen form.
 
@@ -233,28 +221,20 @@ def check_theorem1(n, delta_prev, delta_cur, form="center"):
     Hermite forms are evaluated after algebraic conversion and must
     agree with the center form to high accuracy.
     """
-    if not (0.0 < delta_prev < math.inf and 0.0 < delta_cur < math.inf):
-        raise InputError("densities must be finite and positive")
-    # Every form sums over k <= 2 delta_cur / delta_prev.
-    numth.check_mobius_terms(2.0 * delta_cur / delta_prev, "check_theorem1")
-    try:
-        if form == "center":
-            return _lhs_center(n, delta_prev, delta_cur) - 1.0
-        if form == "density":
-            return _lhs_density(
-                n,
-                convert("center", "density", delta_prev, n - 1),
-                convert("center", "density", delta_cur, n),
-            ) - 1.0
-        if form == "hermite":
-            return _lhs_hermite(
-                n,
-                convert("center", "hermite", delta_prev, n - 1),
-                convert("center", "hermite", delta_cur, n),
-            ) - 1.0
-    except (OverflowError, ZeroDivisionError) as exc:
-        # 2^(n-1) overflows, or V_n underflows to 0, past n ~ 1000
-        raise InputError(f"the {form} form at n = {n} leaves float range") from exc
+    if form == "center":
+        return _lhs_center(n, delta_prev, delta_cur) - 1.0
+    if form == "density":
+        return _lhs_density(
+            n,
+            convert("center", "density", delta_prev, n - 1),
+            convert("center", "density", delta_cur, n),
+        ) - 1.0
+    if form == "hermite":
+        return _lhs_hermite(
+            n,
+            convert("center", "hermite", delta_prev, n - 1),
+            convert("center", "hermite", delta_cur, n),
+        ) - 1.0
     raise InputError(f"unknown form {form!r}")
 
 
@@ -271,6 +251,7 @@ def mordell_upper(n: int, gamma_prev: float) -> float:
         raise InputError(msg) from exc
 
 
+@_lifting
 def marin_chain(n: int, delta_prev: float, delta_cur: float):
     """The three stages of the elementary majorization chain.
 
@@ -278,19 +259,10 @@ def marin_chain(n: int, delta_prev: float, delta_cur: float):
     weights and rescales each summand, stage 3 majorizes the Riemann sum
     by the half-ball integral, giving 2^(n-1) Delta_n.
     """
-    if delta_prev <= 0 or delta_cur <= 0:
-        raise InputError("densities must be positive")
     lhs = _lhs_center(n, delta_prev, delta_cur)
-    kmax = math.floor(2.0 * delta_cur / delta_prev)
-    vol_prev = numth.ball_volume(n - 1)
     step = delta_prev / (2.0 * delta_cur)
-    mid = 0.0
-    for k in range(1, kmax + 1):
-        base = 1.0 - (k * step) ** 2
-        if base <= 0.0:
-            continue
-        mid += base ** ((n - 1) / 2.0) * step
-    mid *= 2.0**n * delta_cur * vol_prev
+    mid = step * numth.cap_sum(step, (n - 1) / 2.0)
+    mid *= 2.0**n * delta_cur * numth.ball_volume(n - 1)
     rhs = 2.0 ** (n - 1) * delta_cur * numth.ball_volume(n)
     return lhs, mid, rhs
 

@@ -1,9 +1,10 @@
 """Number-theoretic and geometric scalar primitives.
 
-Moebius function by trial division, divisor-weighted sums, unit-ball
-volumes via log-Gamma (safe up to dimensions in the thousands), the
-half-ball counting bound used to budget lattice-point enumerations and
-the bisection behind Y_n, psi and f_n.
+Moebius function by trial division, divisor-weighted sums, the one cap
+sum behind F_n, the lifting inequality, the majorization chain and f_n,
+unit-ball volumes via log-Gamma (safe up to dimensions in the thousands),
+the half-ball counting bound used to budget lattice-point enumerations
+and the bisection behind Y_n, psi and f_n.
 """
 
 import math
@@ -40,12 +41,12 @@ def mobius(k: int) -> int:
 
 
 def check_mobius_terms(terms: float, what: str) -> None:
-    """Refuse a Moebius-weighted sum over more than `_MOBIUS_CAP` terms
-    before it starts: `mobius` would refuse the first term past the cap,
-    but only after ~cap^1.5 trial divisions on the terms below it."""
+    """Refuse a sum over more than `_MOBIUS_CAP` terms before it starts:
+    `mobius` would refuse the first term past the cap, but only after
+    ~cap^1.5 trial divisions on the terms below it."""
     if not terms <= _MOBIUS_CAP:  # also refuses NaN
         raise ResourceBudgetError(
-            f"{what} needs {terms:.3g} Moebius-weighted terms",
+            f"{what} needs {terms:.3g} terms",
             estimate=terms, budget=_MOBIUS_CAP,
         )
 
@@ -76,6 +77,26 @@ def mobius_weight(k: int, n: int) -> float:
     if n < 2:
         raise InputError(f"mobius_weight requires n >= 2, got {n}")
     return sum(mobius(l) / l ** (n - 1) for l in divisors(k))
+
+
+def cap_sum(h: float, p: float, n: int | None = None) -> float:
+    """sum_{k >= 1, (k h)^2 < 1} w(k) (1 - (k h)^2)^p, where w(k) is
+    `mobius_weight`(k, n) when n is given and 1 when it is not.
+
+    The sum has about 1/h terms; past `_MOBIUS_CAP` of them (h = 0 or
+    1/h not finite included) it is refused before the first term.
+    """
+    terms = 1.0 / h if h > 0.0 else math.inf
+    check_mobius_terms(terms, "the term-by-term sum")
+    total = 0.0
+    # k h < 1 gives k < 1/h, so k <= fl(1/h): no term is missed.
+    for k in range(1, math.floor(terms) + 1):
+        t = (k * h) ** 2
+        if t >= 1.0:  # fl(k h) is nondecreasing in k
+            break
+        term = math.exp(p * math.log1p(-t))
+        total += term if n is None else mobius_weight(k, n) * term
+    return total
 
 
 def log_ball_volume(n: int) -> float:

@@ -4,8 +4,9 @@ tau(x) = sum_{k>=1} exp(-pi (k/x)^2) is half the third Jacobi theta
 function minus 1/2; psi is its inverse, Omega(x) = x psi(1/x) the
 transfer map with attracting fixed point xi = 1/tau(1), and the d_n
 recursion follows the per-dimension implicit maps f_n whose limit is
-Omega.  tau and tau' share one series, psi and f_n one bisection.  All
-power terms go through log1p so dimension 1024 is routine.
+Omega.  tau and tau' share one series, psi and f_n one bisection, and
+f_n's left side is `numth.cap_sum`, whose log1p power terms make
+dimension 1024 routine.
 """
 
 import itertools
@@ -20,8 +21,13 @@ from .errors import InputError
 #: Relative truncation of the theta series.
 _TAU_TOL = 1e-15
 
-#: Past this x, tau uses the Jacobi identity instead of its ~3.3x-term series.
+#: Past this x, tau and tau' use the Jacobi identity instead of their
+#: ~3.3x-term series.
 _JACOBI_X = 64.0
+
+#: Below this x, exp(-pi / x^2) underflows, so tau and tau' are 0.0; the
+#: series would overflow (k/x)^2 or x^-3 past x ~ 1e-103.
+_UNDERFLOW_X = 0.05
 
 
 def _tail(x: float, power: int) -> float:
@@ -48,13 +54,20 @@ def tau(x: float) -> float:
         raise InputError(f"tau requires x > 0, got {x}")
     if x > _JACOBI_X:
         return 0.5 * x - 0.5
+    if x < _UNDERFLOW_X:
+        return 0.0
     return _tail(x, 0)
 
 
 def tau_derivative(x: float) -> float:
-    """tau'(x) = (2 pi / x^3) sum k^2 exp(-pi (k/x)^2)."""
-    if x <= 0:
+    """tau'(x) = (2 pi / x^3) sum k^2 exp(-pi (k/x)^2); 1/2, the derivative
+    of x/2 - 1/2, past _JACOBI_X."""
+    if not x > 0:  # also refuses NaN
         raise InputError(f"tau_derivative requires x > 0, got {x}")
+    if x > _JACOBI_X:
+        return 0.5
+    if x < _UNDERFLOW_X:
+        return 0.0
     return 2.0 * math.pi / x**3 * _tail(x, 2)
 
 
@@ -90,20 +103,12 @@ def f_step(n: int, x: float) -> float:
     The left side is continuous and nondecreasing in y, zero for small y
     and unbounded, so bisection (to 1e-12 * max(1, hi)) is well posed.
     """
-    if n < 1 or x <= 0:
-        raise InputError("f_step requires n >= 1 and x > 0")
+    if n < 1 or not 0 < x < math.inf:  # also refuses NaN
+        raise InputError("f_step requires n >= 1 and a finite x > 0")
     ratio = math.exp(numth.log_ball_volume(n + 1) - numth.log_ball_volume(n))
 
     def lhs(y):
-        step = x * ratio / y
-        kmax = math.floor(1.0 / step)
-        total = 0.0
-        for k in range(1, kmax + 1):
-            t = (k * step) ** 2
-            if t >= 1.0:
-                continue
-            total += math.exp((n / 2.0) * math.log1p(-t))
-        return x * total
+        return x * numth.cap_sum(x * ratio / y, n / 2.0)
 
     lo = x * ratio
     return numth.bisect_increasing(lhs, 1.0, lo, 2.0 * lo, rtol=1e-12, what="f_step")

@@ -34,10 +34,10 @@ class TestEvalF:
     def test_large_k_path_matches_exact_sum(self, n):
         # pick y so the term count sits above the crossover for this n
         x = 2.0
+        p = (n - 1) / 2.0
         for y in (500.0, 2000.0):
-            kmax = math.floor(math.sqrt(x) * y)
-            exact = bounds._eval_F_exact(n, x, y, kmax)
-            fast = bounds._eval_F_large(n, x, y, kmax)
+            exact = x**p * numth.cap_sum(1.0 / (math.sqrt(x) * y), p, n)
+            fast = bounds._eval_F_large(n, x, y, math.floor(math.sqrt(x) * y))
             assert fast == pytest.approx(exact, rel=1e-9)
 
     @settings(max_examples=300, deadline=None)
@@ -180,3 +180,14 @@ class TestMarinChain:
         )
         assert lhs <= mid + 1e-12
         assert mid <= rhs + 1e-12
+
+    @pytest.mark.parametrize("n,prev,cur", [
+        (2000, 0.5, 0.5),  # 2^(n-1) overflows
+        (3, math.nan, 0.5),
+        (3, 0.5, math.inf),
+        (3, 0.0, 0.5),
+    ])
+    def test_refuses_like_theorem1(self, n, prev, cur):
+        for evaluate in (bounds.marin_chain, bounds.check_theorem1):
+            with pytest.raises(InputError):
+                evaluate(n, prev, cur)

@@ -236,31 +236,31 @@ class TestExitCodes:
     def test_parse_error(self, capsys):
         assert cli.run(["lattice", "report", "--s", "1,x"]) == 1
 
-    @pytest.mark.parametrize("argv", [
-        "bounds y --n 2 --x -1",
-        "bounds cn --n 3 --x 0",
-        "bounds f --n 2 --x 1 --y nan",
-        "bounds f --n 2 --x inf --y 1",
-        "bounds mordell --n 3 --gamma inf",
-        "bounds mordell --n 3 --gamma 1e308",
+    @pytest.mark.parametrize("argv,code", [pytest.param(argv, code, id=argv) for argv, code in (
+        ("bounds y --n 2 --x -1", 1),
+        ("bounds cn --n 3 --x 0", 1),
+        ("bounds f --n 2 --x 1 --y nan", 1),
+        ("bounds f --n 2 --x inf --y 1", 1),
+        ("bounds mordell --n 3 --gamma inf", 1),
+        ("bounds mordell --n 3 --gamma 1e308", 1),
         # past the Moebius cap: refused before the first term, not after 1e6
-        "bounds y --n 2 --x 1e-300",
-        "bounds theorem1 --n 3 --delta-prev 1e-10 --delta 1",
-        "bounds f --n 2 --x 1 --y 1e300",
-        "bounds theorem1 --n 3 --delta-prev 1e-300 --delta 1e300",
-        "theta fit --ladder 1,2,x",
-        "bounds f --n 3 --x 1e300 --y 1e10",  # F overflows a float
+        ("bounds y --n 2 --x 1e-300", 2),
+        ("bounds theorem1 --n 3 --delta-prev 1e-10 --delta 1", 2),
+        ("bounds f --n 2 --x 1 --y 1e300", 2),
+        ("bounds theorem1 --n 3 --delta-prev 1e-300 --delta 1e300", 2),  # h underflows
+        ("theta fit --ladder 1,2,x", 1),
+        ("bounds f --n 3 --x 1e300 --y 1e10", 1),  # F overflows a float
         # 2^(n-1) overflows, or V_n underflows to 0
-        "bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form center",
-        "bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form hermite",
-        "bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form density",
+        ("bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form center", 1),
+        ("bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form hermite", 1),
+        ("bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form density", 1),
+    )] + [
         # reduced-basis Gram-Schmidt norms past float range
-        pytest.param(f"lattice report --s 1,{10**200},{10**400}", id="huge-entries"),
+        pytest.param(f"lattice report --s 1,{10**200},{10**400}", 1, id="huge-entries"),
     ])
-    def test_refused_with_one_line(self, capsys, argv):
-        code = cli.run(argv.split())
+    def test_refused_with_one_line(self, capsys, argv, code):
+        assert cli.run(argv.split()) == code
         out, err = capsys.readouterr()
-        assert code in (1, 2)
         assert err.count("\n") == 1 and "Traceback" not in err
         assert out == ""
 

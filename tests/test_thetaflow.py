@@ -27,16 +27,28 @@ class TestTau:
         assert 0.0 <= thetaflow.tau(0.1) < 1e-100
 
     def test_validation(self):
-        with pytest.raises(InputError):
-            thetaflow.tau(0.0)
+        for f in (thetaflow.tau, thetaflow.tau_derivative):
+            for x in (0.0, -1.0, math.nan):
+                with pytest.raises(InputError):
+                    f(x)
+
+    def test_underflow_below_the_series(self):
+        # (k/x)^2 overflows a float at x = 1e-155; tau and tau' underflow first
+        for x in (1e-155, 1e-110, 5e-324, 0.05):
+            assert thetaflow.tau(x) == 0.0
+            assert thetaflow.tau_derivative(x) == 0.0
+        above = math.nextafter(thetaflow._UNDERFLOW_X, math.inf)
+        assert thetaflow.tau(above) == 0.0
+        assert thetaflow.tau_derivative(above) == 0.0
 
     def test_jacobi_branch_continues_the_series(self):
         # tau(x) = x/2 - 1/2 + x tau(1/x), and x tau(1/x) underflows past 8
         for x in (8.0, 16.0, 32.0, 63.5, 64.0):
             assert thetaflow.tau(x) == pytest.approx(0.5 * x - 0.5, rel=1e-14)
         above = math.nextafter(thetaflow._JACOBI_X, math.inf)
-        below = thetaflow.tau(thetaflow._JACOBI_X)
-        assert thetaflow.tau(above) == pytest.approx(below, rel=1e-14)
+        for f in (thetaflow.tau, thetaflow.tau_derivative):
+            assert f(above) == pytest.approx(f(thetaflow._JACOBI_X), rel=1e-14)
+        assert thetaflow.tau_derivative(1e300) == 0.5
 
     def test_derivative_finite_difference(self):
         h = 1e-6
@@ -144,8 +156,9 @@ class TestFStep:
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_validation(self):
-        with pytest.raises(InputError):
-            thetaflow.f_step(0, 2.0)
+        for n, x in ((0, 2.0), (1, math.nan), (1, math.inf), (1, 0.0)):
+            with pytest.raises(InputError):
+                thetaflow.f_step(n, x)
 
 
 @pytest.fixture(scope="module")
