@@ -230,9 +230,9 @@ CHECKS = (
               3, bounds.convert("center", "hermite", _delta(2), 2)),
           0.1695, 5e-4, limit_s=1.0),
     Check("03_delta9_bound", "delta_9 bound",
-          lambda shared: _density_bound(9, 2.0), 0.0388, 5e-4, limit_s=5.0),
+          lambda shared: _density_bound(9, 2.0), 0.0388, 5e-4, limit_s=1.0),
     Check("04_delta25_bound", "delta_25 bound",
-          lambda shared: _density_bound(25, 4.0), 0.657, 5e-3, limit_s=10.0),
+          lambda shared: _density_bound(25, 4.0), 0.657, 5e-3, limit_s=1.0),
     Check("05_fixed_point", "fixed point xi = 1/tau(1)",
           lambda shared: thetaflow.fixpoint()[0], 23.13882534, 1e-7, limit_s=1.0),
     Check("05_fixed_point_derivative_quoted_value", "derivative at the fixed point",

@@ -61,10 +61,12 @@ def _eval_F_large(n, x, y, kmax):
             break
         h = l / y
         b = min(m_count * h, sqx)
-        base = x - b * b
+        # g'(b) = -(n-1) b (x - b^2)^((n-3)/2) stays -2b at n = 3 where b
+        # reaches sqrt(x): with the base clamped at 0, 0.0 ** 0.0 is 1.
+        base = max(x - b * b, 0.0)
         integral = x ** (p + 0.5) * _cap_integral(p, b / sqx)
-        g_b = base**p if base > 0.0 else 0.0
-        gp_b = -(n - 1) * b * base ** ((n - 3) / 2.0) if base > 0.0 else 0.0
+        g_b = base**p
+        gp_b = -(n - 1) * b * base ** ((n - 3) / 2.0)
         s_l = integral / h + 0.5 * (g_b - g0) + (h / 12.0) * gp_b
         total += weight / l ** (n - 1) * s_l
     return total
@@ -120,20 +122,30 @@ def eval_C(n: int, x: float) -> float:
     """Envelope C_n(x), estimated as the sup over x/100 <= ξ <= x of
     ξ Y_n(ξ)^(2/n).
 
-    The sup is searched on a geometric grid over [x/100, x] with a
-    golden-section refinement of the best bracket; the right edge x is
-    the last grid point.
+    By scaling, F_n(ξ, y) = ξ^p F_n(1, √ξ y) with p = (n-1)/2, so on the
+    curve F_n(ξ, Y_n(ξ)) = 1/V_{n-1} the variable t = √ξ Y_n(ξ) gives
+    ξ = (V_{n-1} F_n(1, t))^(-1/p) and ξ Y_n(ξ)^(2/n) =
+    (t / (V_{n-1} F_n(1, t)))^(2/n).  F_n(1, ·) is increasing (every
+    Moebius weight is positive), so ξ decreases in t and the sup is over
+    t in [t(x), t(x/100)]: two `eval_Y` solves find that interval, then
+    each sample is one `eval_F`.  The sup is searched on a geometric grid
+    over the t-interval with a golden-section refinement of the best
+    bracket; the value at t(x) is taken from x and Y_n(x) directly.
     """
     _check_nx("eval_C", n, x)
+    vol = numth.ball_volume(n - 1)
+    t_hi = math.sqrt(x / 100.0) * eval_Y(n, x / 100.0)
+    y_right = eval_Y(n, x)
+    t_lo = math.sqrt(x) * y_right
 
-    def value(xi):
-        return xi * eval_Y(n, xi) ** (2.0 / n)
+    def value(t):
+        return (t / (vol * eval_F(n, 1.0, t))) ** (2.0 / n)
 
     points = 256
-    ratio = 100.0 ** (1.0 / (points - 1))
-    grid = [x / 100.0 * ratio**i for i in range(points)]
-    grid[-1] = x
-    values = [value(xi) for xi in grid]
+    ratio = (t_hi / t_lo) ** (1.0 / (points - 1))
+    grid = [t_lo * ratio**i for i in range(points)]
+    grid[-1] = t_hi
+    values = [x * y_right ** (2.0 / n)] + [value(t) for t in grid[1:]]
     best = max(range(points), key=values.__getitem__)
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, points - 1)]
@@ -141,7 +153,8 @@ def eval_C(n: int, x: float) -> float:
     c = b - _PHI * (b - a)
     d = a + _PHI * (b - a)
     fc, fd = value(c), value(d)
-    while b - a > 1e-10 * max(1.0, x):
+    # A relative stop near float spacing may never be met.
+    while b - a > 1e-12 * b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _PHI * (b - a)

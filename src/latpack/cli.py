@@ -171,8 +171,8 @@ COMMANDS = (
             lambda n, x: {"Y": bounds.eval_Y(n, x)}, (_N, _X),
             {"Y": "bisection to float spacing"}),
     Command("bounds cn", "envelope C_n(x) and the density bound", _bounds_cn, (_N, _X),
-            {"C": "sup over [x/100, x]: 256-point geometric grid "
-                  "with golden-section refinement"}),
+            {"C": "sup over [x/100, x]: 256-point geometric grid over "
+                  "t = sqrt(xi) Y_n(xi) with golden-section refinement"}),
     Command("bounds theorem1", "lifting inequality residual", _bounds_theorem1,
             (_N, _opt("--delta-prev", type=float, required=True),
              _opt("--delta", type=float, required=True),

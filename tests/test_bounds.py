@@ -40,6 +40,14 @@ class TestEvalF:
             fast = bounds._eval_F_large(n, x, y, math.floor(math.sqrt(x) * y))
             assert fast == pytest.approx(exact, rel=1e-9)
 
+    @pytest.mark.parametrize("terms", [20001, 30030])
+    def test_large_k_path_at_a_whole_term_count_n3(self, terms):
+        # the last Riemann point of each l | terms is sqrt(x) itself, where
+        # g'(sqrt(x)) = -2 sqrt(x) at n = 3, not 0
+        exact = numth.cap_sum(1.0 / terms, 1.0, 3)
+        fast = bounds._eval_F_large(3, 1.0, float(terms), terms)
+        assert fast == pytest.approx(exact, rel=1e-13)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 200), st.floats(0.0, 1.0, exclude_min=True))
     def test_cap_integral_matches_incomplete_beta(self, n, c):
@@ -47,6 +55,27 @@ class TestEvalF:
         expected = 0.5 * special.beta(0.5, p + 1.0) * special.betainc(0.5, p + 1.0, c * c)
         assume(expected > 0.0)  # c * c underflows for c below ~1e-154
         assert bounds._cap_integral(p, c) == pytest.approx(expected, rel=1e-13)
+
+    # eval_C rests on F_n(x, y) = x^p F_n(1, sqrt(x) y); both sides see the
+    # same term count sqrt(x) y, so both take the same path
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 30), st.floats(1e-3, 1e3), st.floats(1.5, 400.0))
+    def test_scaling_identity_exact_path(self, n, x, terms):
+        self._check_scaling(n, x, terms / math.sqrt(x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 30), st.floats(1e-3, 1e3), st.floats(1.0, 50.0))
+    def test_scaling_identity_euler_maclaurin_path(self, n, x, factor):
+        threshold = bounds._K_EXACT if n <= 4 else 400
+        y = factor * (threshold + 1) / math.sqrt(x)
+        assume(math.sqrt(x) * y >= threshold + 1)
+        self._check_scaling(n, x, y)
+
+    @staticmethod
+    def _check_scaling(n, x, y):
+        p = (n - 1) / 2.0
+        expected = x**p * bounds.eval_F(n, 1.0, math.sqrt(x) * y)
+        assert bounds.eval_F(n, x, y) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_y(self):
         values = [bounds.eval_F(3, 2.0, y) for y in (1.0, 2.0, 4.0, 8.0)]
@@ -69,6 +98,37 @@ class TestEvalY:
             assert b <= a + 1e-9
 
 
+def _eval_C_xi_grid(n, x):
+    """The former `bounds.eval_C`: a 256-point geometric grid over ξ in
+    [x/100, x], one `eval_Y` bisection per sample, and a golden-section
+    refinement of the best bracket."""
+
+    def value(xi):
+        return xi * bounds.eval_Y(n, xi) ** (2.0 / n)
+
+    points = 256
+    ratio = 100.0 ** (1.0 / (points - 1))
+    grid = [x / 100.0 * ratio**i for i in range(points)]
+    grid[-1] = x
+    values = [value(xi) for xi in grid]
+    best = max(range(points), key=values.__getitem__)
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, points - 1)]
+    c = b - bounds._PHI * (b - a)
+    d = a + bounds._PHI * (b - a)
+    fc, fd = value(c), value(d)
+    while b - a > 1e-10 * max(1.0, x):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - bounds._PHI * (b - a)
+            fc = value(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + bounds._PHI * (b - a)
+            fd = value(d)
+    return max(max(fc, fd), max(values))
+
+
 class TestEvalC:
     def test_nondecreasing_envelope(self):
         assert bounds.eval_C(3, 2.0) >= bounds.eval_C(3, 1.0) - 1e-12
@@ -79,13 +139,30 @@ class TestEvalC:
         assert gamma3 <= 4.0 / 3.0
 
     def test_right_edge_solved_once(self, monkeypatch):
-        calls = []
-        eval_Y = bounds.eval_Y
-        monkeypatch.setattr(bounds, "eval_Y", lambda n, x: calls.append(x) or eval_Y(n, x))
-        bounds.eval_C(3, 2.0 / SQRT3)
-        # 256 grid points (the last is x) + 2 golden-section seeds + 40 steps
-        assert len(calls) == 298
-        assert calls.count(2.0 / SQRT3) == 1
+        y_calls, f_calls = [], []
+        eval_Y, eval_F = bounds.eval_Y, bounds.eval_F
+        monkeypatch.setattr(bounds, "eval_Y", lambda n, x: y_calls.append(x) or eval_Y(n, x))
+        monkeypatch.setattr(bounds, "eval_F", lambda *args: f_calls.append(args) or eval_F(*args))
+        x = 2.0 / SQRT3
+        bounds.eval_C(3, x)
+        # the t-interval's two ends; every sample inside is one eval_F
+        assert sorted(y_calls) == [x / 100.0, x]
+        # 418: two bisections, 255 grid points and the golden section
+        assert len(f_calls) <= 450
+
+    # the right-edge maximum keeps its bits: the n = 2, 3, 4, 25 bench
+    # reference points and the delta_3 input
+    @pytest.mark.parametrize("n,x", [(2, 1.0), (3, 1.2), (4, 1.5), (25, 4.0), (3, 2.0 / SQRT3)])
+    def test_right_edge_maximum_matches_xi_grid(self, n, x):
+        assert bounds.eval_C(n, x) == _eval_C_xi_grid(n, x)
+
+    # interior maxima: the t search ends closer to the sup, never lower
+    # than the xi-grid search by more than rounding
+    @pytest.mark.parametrize("n,x", [(2, 0.3), (3, 0.5), (3, 0.3), (2, 0.01)])
+    def test_interior_maximum_not_below_xi_grid(self, n, x):
+        old = _eval_C_xi_grid(n, x)
+        new = bounds.eval_C(n, x)
+        assert old * (1.0 - 4.0 * math.ulp(1.0)) <= new <= old * (1.0 + 1e-9)
 
 
 class TestConvert:

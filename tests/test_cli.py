@@ -245,11 +245,14 @@ class TestExitCodes:
         ("bounds mordell --n 3 --gamma 1e308", 1),
         # past the Moebius cap: refused before the first term, not after 1e6
         ("bounds y --n 2 --x 1e-300", 2),
+        ("bounds cn --n 2 --x 1e-300", 2),
         ("bounds theorem1 --n 3 --delta-prev 1e-10 --delta 1", 2),
         ("bounds f --n 2 --x 1 --y 1e300", 2),
         ("bounds theorem1 --n 3 --delta-prev 1e-300 --delta 1e300", 2),  # h underflows
         ("theta fit --ladder 1,2,x", 1),
         ("bounds f --n 3 --x 1e300 --y 1e10", 1),  # F overflows a float
+        ("bounds cn --n 3 --x 1e300", 1),  # F_3 at x/100 overflows
+        ("bounds cn --n 60 --x 2.0", 1),  # Y_60(x/100) lies past 200 bracket doublings
         # 2^(n-1) overflows, or V_n underflows to 0
         ("bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form center", 1),
         ("bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form hermite", 1),
