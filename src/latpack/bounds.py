@@ -103,18 +103,26 @@ def eval_Y(n: int, x: float) -> float:
     """Solve F_n(x, y) = 1/V_{n-1} for y, bisecting to float spacing.
 
     F is nondecreasing and continuous in y, zero at y = 1/sqrt(x), so
-    `numth.bisect_increasing` from there is safe.  The solution can sit
-    near x^(-n/2), astronomically large for small x at high dimension.
+    `numth.bisect_increasing` from there is safe.  Every weight is at
+    most 1 and the summand decreases in k, so F is at most its Riemann
+    integral y x^(n/2) V_n / (2 V_{n-1}), and the root is at least
+    2 / (V_n x^(n/2)): the bracket starts there, and a root whose lower
+    bound is past float range is refused before the first evaluation.
     """
     _check_nx("eval_Y", n, x)
     if n == 2:
         # Each of the floor(sqrt(x) y) terms of F_2 is at most sqrt(x), so
         # the root needs 1/(2 sqrt(x)) terms or more, all summed one by one.
         numth.check_mobius_terms(0.5 / math.sqrt(x), "eval_Y")
+    try:
+        log_est = math.log(2.0) - numth.log_ball_volume(n) - (n / 2.0) * math.log(x)
+        est = math.exp(log_est)
+    except OverflowError as exc:
+        raise InputError(f"Y_{n}({x}) lies past float range") from exc
     lo = 1.0 / math.sqrt(x)
     return numth.bisect_increasing(
         lambda y: eval_F(n, x, y), 1.0 / numth.ball_volume(n - 1),
-        lo, max(2.0 * lo, 1.0), rtol=0.0, what="eval_Y",
+        lo, max(2.0 * lo, 1.0, est), rtol=0.0, what="eval_Y",
     )
 
 

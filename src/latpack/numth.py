@@ -1,49 +1,59 @@
 """Number-theoretic and geometric scalar primitives.
 
-Moebius function by trial division, divisor-weighted sums, the one cap
-sum behind F_n, the lifting inequality, the majorization chain and f_n,
-unit-ball volumes via log-Gamma (safe up to dimensions in the thousands),
-the half-ball counting bound used to budget lattice-point enumerations
-and the bisection behind Y_n, psi and f_n.
+Moebius function and divisor-weighted sums from one smallest-prime-factor
+table, the one cap sum behind F_n, the lifting inequality, the majorization
+chain and f_n, unit-ball volumes via log-Gamma (safe up to dimensions in
+the thousands), the half-ball counting bound used to budget lattice-point
+enumerations and the bisection behind Y_n, psi and f_n.
 """
 
 import math
+from array import array
 from functools import lru_cache
 
 from .errors import InputError, ResourceBudgetError
 
-#: Trial division is plenty at the scales this package needs; refuse
-#: anything that would make it slow.
+#: The largest Moebius argument, where the factor table stops (4 MB),
+#: and the most terms a Moebius-weighted sum may have.
 _MOBIUS_CAP = 10**6
 
+#: _SPF[k] is the smallest prime factor of k >= 2.
+_SPF = array("i", [0, 1])
 
-@lru_cache(maxsize=None)
+
+def _factor_table(k: int) -> array:
+    """`_SPF`, grown by doubling to cover k, never past `_MOBIUS_CAP`."""
+    if not 1 <= k <= _MOBIUS_CAP:
+        raise InputError(f"Moebius arguments lie in [1, {_MOBIUS_CAP}], got {k}")
+    while len(_SPF) <= k:
+        old = len(_SPF)
+        new = min(2 * old, _MOBIUS_CAP + 1)
+        _SPF.extend(range(old, new))
+        # every prime up to sqrt(new) < old is already in the table; the
+        # smallest prime dividing an entry writes it last
+        for p in range(math.isqrt(new - 1), 1, -1):
+            if _SPF[p] == p:
+                start = max(p * p, -(-old // p) * p)
+                _SPF[start:new:p] = array("i", [p]) * len(range(start, new, p))
+    return _SPF
+
+
 def mobius(k: int) -> int:
     """Moebius function mu(k) in {-1, 0, 1}."""
-    if k < 1:
-        raise InputError(f"mobius requires k >= 1, got {k}")
-    if k > _MOBIUS_CAP:
-        raise InputError(f"mobius argument {k} exceeds cap {_MOBIUS_CAP}")
-    if k == 1:
-        return 1
-    result = 1
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            k //= p
-            if k % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if k > 1:
-        result = -result
-    return result
+    spf = _factor_table(k)
+    mu = 1
+    while k > 1:
+        p = spf[k]
+        k //= p
+        if spf[k] == p:
+            return 0
+        mu = -mu
+    return mu
 
 
 def check_mobius_terms(terms: float, what: str) -> None:
-    """Refuse a sum over more than `_MOBIUS_CAP` terms before it starts:
-    `mobius` would refuse the first term past the cap, but only after
-    ~cap^1.5 trial divisions on the terms below it."""
+    """Refuse a sum over more than `_MOBIUS_CAP` terms before it starts,
+    not at its first term past the cap, after summing all the others."""
     if not terms <= _MOBIUS_CAP:  # also refuses NaN
         raise ResourceBudgetError(
             f"{what} needs {terms:.3g} terms",
@@ -51,32 +61,20 @@ def check_mobius_terms(terms: float, what: str) -> None:
         )
 
 
-def divisors(k: int) -> list[int]:
-    """All positive divisors of k, ascending."""
-    if k < 1:
-        raise InputError(f"divisors requires k >= 1, got {k}")
-    small, large = [], []
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            small.append(d)
-            if d != k // d:
-                large.append(k // d)
-        d += 1
-    return small + large[::-1]
-
-
 @lru_cache(maxsize=None)
 def mobius_weight(k: int, n: int) -> float:
-    """The factor sum_{l | k} mu(l) / l^(n-1).
-
-    Equals the Euler product prod_{p | k} (1 - 1/p^(n-1)).
-    """
-    if k < 1:
-        raise InputError(f"mobius_weight requires k >= 1, got {k}")
+    """The factor sum_{l | k} mu(l) / l^(n-1) = prod_{p | k} (1 - 1/p^(n-1)),
+    summed over the squarefree l ascending (the others add exact zeros)."""
     if n < 2:
         raise InputError(f"mobius_weight requires n >= 2, got {n}")
-    return sum(mobius(l) / l ** (n - 1) for l in divisors(k))
+    spf = _factor_table(k)
+    terms = [(1, 1)]  # (l, mu(l)) over the squarefree divisors l of k
+    while k > 1:
+        p = spf[k]
+        terms += [(l * p, -mu) for l, mu in terms]
+        while k % p == 0:
+            k //= p
+    return sum(mu / l ** (n - 1) for l, mu in sorted(terms))
 
 
 def cap_sum(h: float, p: float, n: int | None = None) -> float:

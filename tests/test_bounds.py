@@ -97,6 +97,13 @@ class TestEvalY:
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-9
 
+    def test_asymptotic_at_small_x(self):
+        """Y_n(x) -> 2 zeta(n) / (V_n x^(n/2)), the mean Moebius weight
+        being 1/zeta(n); the bracket starts at 2 / (V_n x^(n/2))."""
+        x = 1e-40
+        expected = 2.0 * special.zeta(5.0) / (numth.ball_volume(5) * x**2.5)
+        assert bounds.eval_Y(5, x) == pytest.approx(expected, rel=1e-12)
+
 
 def _eval_C_xi_grid(n, x):
     """The former `bounds.eval_C`: a 256-point geometric grid over ξ in

@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 import latpack
-from latpack import cli, museq
+from latpack import bounds, cli, museq
 from latpack.acceptance import D_TABLE
 
 
@@ -107,6 +107,12 @@ class TestBounds:
         assert payload["outputs"]["center_density_bound"] == pytest.approx(
             0.1695, abs=5e-4
         )
+
+    def test_cn_beats_minkowski_hlawka_at_n60(self, capsys):
+        code, payload = run_json(capsys, ["bounds", "cn", "--n", "60", "--x", "2.0"])
+        assert code == 0
+        density = bounds.convert("hermite", "density", payload["outputs"]["C"], 60)
+        assert density >= 2.0 ** (1 - 60)
 
     def test_f_requires_y(self, capsys):
         code = cli.run(["bounds", "f", "--n", "2", "--x", "4"])
@@ -252,7 +258,7 @@ class TestExitCodes:
         ("theta fit --ladder 1,2,x", 1),
         ("bounds f --n 3 --x 1e300 --y 1e10", 1),  # F overflows a float
         ("bounds cn --n 3 --x 1e300", 1),  # F_3 at x/100 overflows
-        ("bounds cn --n 60 --x 2.0", 1),  # Y_60(x/100) lies past 200 bracket doublings
+        ("bounds y --n 25 --x 1e-30", 1),  # Y_25 lies past float range
         # 2^(n-1) overflows, or V_n underflows to 0
         ("bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form center", 1),
         ("bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form hermite", 1),

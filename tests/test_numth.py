@@ -1,7 +1,8 @@
 import math
+from array import array
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from latpack import numth
 from latpack.errors import InputError
@@ -25,6 +26,13 @@ def test_mobius_rejects_nonpositive():
         numth.mobius(-3)
 
 
+def test_mobius_rejects_past_the_cap():
+    with pytest.raises(InputError):
+        numth.mobius(numth._MOBIUS_CAP + 1)
+    with pytest.raises(InputError):
+        numth.mobius_weight(numth._MOBIUS_CAP + 1, 2)
+
+
 @given(st.integers(min_value=1, max_value=500),
        st.integers(min_value=1, max_value=500))
 def test_mobius_multiplicative_on_coprime(a, b):
@@ -32,10 +40,43 @@ def test_mobius_multiplicative_on_coprime(a, b):
         assert numth.mobius(a * b) == numth.mobius(a) * numth.mobius(b)
 
 
-def test_divisors():
-    assert numth.divisors(1) == [1]
-    assert numth.divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert numth.divisors(13) == [1, 13]
+def _mobius_oracle(k):
+    """mu(k) by trial division."""
+    result = 1
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            result = -result
+        p += 1 if p == 2 else 2
+    return -result if k > 1 else result
+
+
+def _mobius_weight_oracle(k, n):
+    """sum_{l | k} mu(l) / l^(n-1) over every divisor l, ascending."""
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    divisors = small + [k // d for d in reversed(small) if d * d != k]
+    return sum(_mobius_oracle(l) / l ** (n - 1) for l in divisors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=2**19), min_size=1, max_size=6),
+       st.sampled_from((2, 3, 9, 25, 2000)), st.booleans())
+def test_factor_table_matches_trial_division(ks, n, descending):
+    """Bit-identical to trial division, on a table grown from empty by
+    ascending or descending arguments."""
+    table = numth._SPF
+    numth._SPF = array("i", [0, 1])
+    numth.mobius_weight.cache_clear()
+    try:
+        for k in sorted(ks, reverse=descending):
+            assert numth.mobius(k) == _mobius_oracle(k)
+            assert numth.mobius_weight(k, n) == _mobius_weight_oracle(k, n)
+    finally:
+        numth._SPF = table
+        numth.mobius_weight.cache_clear()
 
 
 def test_mobius_weight_examples():
