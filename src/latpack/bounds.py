@@ -108,12 +108,10 @@ def eval_Y(n: int, x: float) -> float:
     integral y x^(n/2) V_n / (2 V_{n-1}), and the root is at least
     2 / (V_n x^(n/2)): the bracket starts there, and a root whose lower
     bound is past float range is refused before the first evaluation.
+    At n = 2, where every term is summed one by one, `numth.cap_sum`
+    refuses a bracket past its term cap before the first term.
     """
     _check_nx("eval_Y", n, x)
-    if n == 2:
-        # Each of the floor(sqrt(x) y) terms of F_2 is at most sqrt(x), so
-        # the root needs 1/(2 sqrt(x)) terms or more, all summed one by one.
-        numth.check_mobius_terms(0.5 / math.sqrt(x), "eval_Y")
     try:
         log_est = math.log(2.0) - numth.log_ball_volume(n) - (n / 2.0) * math.log(x)
         est = math.exp(log_est)

@@ -38,6 +38,7 @@ def _factor_table(k: int) -> array:
     return _SPF
 
 
+@lru_cache(maxsize=None)
 def mobius(k: int) -> int:
     """Moebius function mu(k) in {-1, 0, 1}."""
     spf = _factor_table(k)

@@ -69,6 +69,7 @@ def test_factor_table_matches_trial_division(ks, n, descending):
     ascending or descending arguments."""
     table = numth._SPF
     numth._SPF = array("i", [0, 1])
+    numth.mobius.cache_clear()
     numth.mobius_weight.cache_clear()
     try:
         for k in sorted(ks, reverse=descending):
@@ -76,6 +77,7 @@ def test_factor_table_matches_trial_division(ks, n, descending):
             assert numth.mobius_weight(k, n) == _mobius_weight_oracle(k, n)
     finally:
         numth._SPF = table
+        numth.mobius.cache_clear()
         numth.mobius_weight.cache_clear()
 
 
