@@ -2,12 +2,14 @@
 
 A mu-sequence is s_0 = 1, s_1, ... such that every prefix's orthogonal
 lattice in Z^(n+1) has minimum >= mu.  The greedy step and the interval
-obstruction sets I_k / X_k(a) both read one finite set: the norms and
-dot products <z, s> of the half-ball {z : 0 < |z|^2 < mu - 1}, one z
-per +/- pair, walked depth-first by a single enumerator.
+obstruction sets I_k / X_k(a) read only the pairs (|z|^2, |<z, s>|) of the
+ball |z|^2 <= mu - 2, never the points z: one table counts them over all
+coordinates but the last, built one coordinate at a time, and each reader
+streams the last coordinate over it.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import lattice, numth
@@ -84,54 +86,66 @@ class ObstructionReport:
     union_size: int
 
 
-def _half_ball(s: SVector, mu: int):
-    """Yield (|z|^2, |<z, s>|, z) for z in Z^len(s), 0 < |z|^2 < mu - 1,
-    one of each +/- pair: the z whose first nonzero entry is positive.
+def _ball_table(s: SVector, mu: int) -> dict:
+    """{m: {d: #z}} over z in Z^(len(s) - 1), m = |z|^2 <= mu - 2, d = |<z, s>|
+    on the first len(s) - 1 entries.  Refused first if the ball of squared
+    radius mu - 1 in Z^len(s) has more points than `lattice.enum_budget()`,
+    by the bound, or by the exact count when that is cheap enough.
 
-    Depth-first (Fincke-Pohst), carrying the norm and <z, s> down the
-    levels.  mu and the ball's point count, against `lattice.enum_budget()`,
-    are checked before the walk starts.
+    Each entry e is added in place, norms from the top down, so a row is
+    read before anything is added to it: x = +/-a moves |dot| d to d + a e
+    and |d - a e|, one each whatever the sign of the dot.
     """
     _check_mu(mu)
-    entries = s.entries
-    budget = lattice.enum_budget()
-    estimate = numth.ball_point_count_bound(len(entries), mu - 1)
+    n, budget = len(s.entries), lattice.enum_budget()
+    estimate = numth.ball_point_count_bound(n, mu - 1)
+    if estimate > budget and n * mu * (math.isqrt(mu - 1) + 1) <= budget:
+        estimate = numth.ball_point_count(n, mu - 1)
     if estimate > budget:
         raise ResourceBudgetError(
-            f"ball of squared radius {mu - 1} in dimension {len(entries)} is too large",
-            estimate=estimate,
-            budget=budget,
-        )
-    last = len(entries) - 1
-
-    def walk(i, norm, dot, z, started):
-        limit = math.isqrt(mu - 2 - norm)  # largest x with norm + x^2 < mu - 1
-        e = entries[i]
-        if i == last:
-            for x in range(-limit if started else 1, limit + 1):
-                yield norm + x * x, abs(dot + x * e), z + (x,)
-            return
-        for x in range(-limit if started else 0, limit + 1):
-            yield from walk(i + 1, norm + x * x, dot + x * e, z + (x,), started or x > 0)
-
-    return walk(0, 0, 0, (), False)
+            f"ball of squared radius {mu - 1} in dimension {n} is too large",
+            estimate=estimate, budget=budget)
+    table = {0: {0: 1}}
+    for e in s.entries[:-1]:
+        for m, row in sorted(table.items(), reverse=True):
+            for x in range(1, math.isqrt(mu - 2 - m) + 1):
+                xe, target = x * e, table.setdefault(m + x * x, {})
+                get = target.get
+                for d, c in row.items():
+                    target[d + xe] = get(d + xe, 0) + c
+                    target[abs(d - xe)] = get(abs(d - xe), 0) + c
+    return table
 
 
 def forbidden_values(s: SVector, mu: int):
-    """Values a such that appending a would create a vector of norm < mu.
-
-    Enumerates all +/- pairs z with 0 < |z|^2 < mu - 1 and all k >= 1
-    with |z|^2 + k^2 < mu, collecting a = |<z, s>| / k whenever the
-    division is exact and positive.  Sorted and deduplicated.
-    """
-    out = set()
-    for norm, dot, _ in _half_ball(s, mu):
-        k = 1
-        while norm + k * k < mu:
-            if dot % k == 0 and dot // k > 0:
-                out.add(dot // k)
-            k += 1
+    """Values a such that appending a would create a vector of norm < mu:
+    a = |<z, s>| / k, exact and positive, for 0 < |z|^2 < mu - 1 and
+    |z|^2 + k^2 < mu.  The last coordinate x >= 0 of z is streamed over
+    the table and never stored.  Sorted and deduplicated."""
+    e, out = s.entries[-1], set()
+    for m, row in _ball_table(s, mu).items():
+        for x in range(math.isqrt(mu - 2 - m) + 1):
+            xe = x * e
+            values = [d + xe for d in row] + [abs(d - xe) for d in row] if x else row
+            out.update(values)
+            ks = range(2, math.isqrt(mu - 1 - m - x * x) + 1)
+            out.update([v // k for k in ks for v in values if v % k == 0])
+    out.discard(0)
     return sorted(out)
+
+
+def _dot_hits(rows, e, top, a, b):
+    """Yield (v, c): c points z = (z', x) with |z|^2 <= top and v = |<z, s>|
+    in [a, b] (a >= 1), z and -z both counted; x >= 0 is streamed and
+    each row's sorted |dots| are bisected, so the norm bounds x, not b."""
+    for m, (keys, row) in rows.items():
+        for x in range(math.isqrt(top - m) + 1 if m <= top else 0):
+            xe = x * e
+            spans = (((xe, a - xe, b - xe), (-xe, a + xe, b + xe), (-xe, xe - b, xe - a))
+                     if x else ((0, a, b),))
+            for shift, d_lo, d_hi in spans:
+                for d in keys[bisect_left(keys, d_lo):bisect_right(keys, d_hi)]:
+                    yield abs(d + shift), row[d]
 
 
 def greedy_extend(s: SVector, mu: int) -> int:
@@ -192,52 +206,38 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec):
 
     I_k collects the integers t in the interval with a witness x,
     |x|^2 < mu - k^2 and <x, s> = k t; X_k(j) are the witnesses by
-    residue of <x, s> mod k; the primitive count drops witnesses that
-    are h-fold multiples for a divisor h > 1 of k.
+    residue of <x, s> mod k.  The primitive count (gcd(k, *x) = 1) is the
+    Moebius inversion over the squarefree h | k of the witnesses x = h x'.
     """
-    points = _half_ball(s, mu)
-    n = len(s.entries)
+    rows = {m: (sorted(row), row) for m, row in _ball_table(s, mu).items()}
+    n, e, lo, hi = len(s.entries), s.entries[-1], interval.lo, interval.hi
+    vmax = math.isqrt((mu - 2) * sum(x * x for x in s.entries))
     ks = range(1, math.isqrt(mu - 1) + 1)
-    obstructed = {k: set() for k in ks}
-    residue_counts = {k: [0] * k for k in ks}
-    primitive = dict.fromkeys(ks, 0)
-    lo, hi = interval.lo, interval.hi
-    # lo > 0, so of z and -z only the one with <., s> = |<z, s>| can lie
-    # in [k lo, k hi]; the canonical z stands for it (same norm, same gcd).
-    for norm, dot, z in points:
-        k = 1
-        while norm + k * k < mu:
-            if k * lo <= dot <= k * hi:
-                r = dot % k
-                residue_counts[k][r] += 1
-                if r == 0:
-                    if lo <= dot // k <= hi:
-                        obstructed[k].add(dot // k)
-                    if math.gcd(k, *z) == 1:
-                        primitive[k] += 1
-            k += 1
-    union = set().union(*obstructed.values())
+    obstructed, witness_counts, residue_counts = {}, {}, {}
+    for k in ks:
+        # integer dots in [k lo, k hi]; vmax >= |<z, s>| caps k hi, which may be inf
+        top, a, b = mu - 1 - k * k, math.ceil(k * lo), math.floor(min(k * hi, vmax))
+        counts, ik = [0] * k, set()
+        for v, c in _dot_hits(rows, e, top, a, b):
+            counts[v % k] += c
+            if v % k == 0 and lo <= v // k <= hi:
+                ik.add(v // k)
+        primitive = counts[0]
+        for h in range(2, k + 1):
+            if k % h == 0 and numth.mobius(h):
+                hits = _dot_hits(rows, e, top // (h * h), -(-a // h), b // h)
+                primitive += numth.mobius(h) * sum(c for v, c in hits if v % (k // h) == 0)
+        obstructed[k] = sorted(ik)
+        witness_counts[k] = (counts[0] // 2, primitive // 2)
+        residue_counts[k] = [c // 2 for c in counts]
+    union = sorted(set().union(*obstructed.values()))
     # Asymptotic cutoff reported for comparison with the exact k range.
-    prev_dim = n - 1
-    log_delta = (
-        lattice.log_center_density(prev_dim, mu, lattice.determinant(s))
-        + numth.log_ball_volume(prev_dim)
-    )
+    log_v = numth.log_ball_volume(n - 1)
+    log_delta = lattice.log_center_density(n - 1, mu, lattice.determinant(s)) + log_v
     a_value = math.exp(
-        (1 - n) * math.log(2.0)
-        + numth.log_ball_volume(prev_dim)
-        - numth.log_ball_volume(n)
-        - log_delta
-    ) / interval.sigma
-    return ObstructionReport(
-        k_max=len(ks),
-        A=math.floor(a_value),
-        obstructed={k: sorted(ik) for k, ik in obstructed.items()},
-        witness_counts={k: (residue_counts[k][0], primitive[k]) for k in ks},
-        residue_counts=residue_counts,
-        union=sorted(union),
-        union_size=len(union),
-    )
+        (1 - n) * math.log(2.0) + log_v - numth.log_ball_volume(n) - log_delta)
+    return ObstructionReport(len(ks), math.floor(a_value / interval.sigma), obstructed,
+                             witness_counts, residue_counts, union, len(union))
 
 
 def smallest_unobstructed(report: ObstructionReport, interval: IntervalSpec):

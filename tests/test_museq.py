@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +57,22 @@ def oracle_forbidden_values(s, mu):
     return sorted(out)
 
 
+def oracle_cutoff(s, mu, interval):
+    """The report's asymptotic cutoff A."""
+    prev_dim = len(s.entries) - 1
+    log_delta = (
+        lattice.log_center_density(prev_dim, mu, lattice.determinant(s))
+        + numth.log_ball_volume(prev_dim)
+    )
+    a_value = math.exp(
+        -prev_dim * math.log(2.0)
+        + numth.log_ball_volume(prev_dim)
+        - numth.log_ball_volume(prev_dim + 1)
+        - log_delta
+    ) / interval.sigma
+    return math.floor(a_value)
+
+
 def oracle_interval_obstructions(s, mu, interval):
     """The obstruction report from a fresh walk of the full ball per k."""
     n = len(s.entries)
@@ -87,26 +104,91 @@ def oracle_interval_obstructions(s, mu, interval):
         witness_counts[k] = (counts[0], primitive)
         residue_counts[k] = counts
         union.update(ik)
-    prev_dim = n - 1
-    log_delta = (
-        lattice.log_center_density(prev_dim, mu, lattice.determinant(s))
-        + numth.log_ball_volume(prev_dim)
-    )
-    a_value = math.exp(
-        (1 - n) * math.log(2.0)
-        + numth.log_ball_volume(prev_dim)
-        - numth.log_ball_volume(n)
-        - log_delta
-    ) / interval.sigma
     return museq.ObstructionReport(
         k_max=k_max,
-        A=math.floor(a_value),
+        A=oracle_cutoff(s, mu, interval),
         obstructed=obstructed,
         witness_counts=witness_counts,
         residue_counts=residue_counts,
         union=sorted(union),
         union_size=len(union),
     )
+
+
+def _half_ball(s, mu):
+    """Yield (|z|^2, |<z, s>|, z) for z in Z^len(s), 0 < |z|^2 < mu - 1,
+    one of each +/- pair: the z whose first nonzero entry is positive.
+
+    Depth-first (Fincke-Pohst), carrying the norm and <z, s> down the
+    levels: the point walk that the (norm, |dot|) table replaced.
+    """
+    museq._check_mu(mu)
+    entries = s.entries
+    last = len(entries) - 1
+
+    def walk(i, norm, dot, z, started):
+        limit = math.isqrt(mu - 2 - norm)  # largest x with norm + x^2 < mu - 1
+        e = entries[i]
+        if i == last:
+            for x in range(-limit if started else 1, limit + 1):
+                yield norm + x * x, abs(dot + x * e), z + (x,)
+            return
+        for x in range(-limit if started else 0, limit + 1):
+            yield from walk(i + 1, norm + x * x, dot + x * e, z + (x,), started or x > 0)
+
+    return walk(0, 0, 0, (), False)
+
+
+def walk_forbidden_values(s, mu):
+    """forbidden_values read from the half-ball walk."""
+    out = set()
+    for norm, dot, _ in _half_ball(s, mu):
+        k = 1
+        while norm + k * k < mu:
+            if dot % k == 0 and dot // k > 0:
+                out.add(dot // k)
+            k += 1
+    return sorted(out)
+
+
+def walk_interval_obstructions(s, mu, interval):
+    """interval_obstructions read from the half-ball walk, with gcd."""
+    ks = range(1, math.isqrt(mu - 1) + 1)
+    obstructed = {k: set() for k in ks}
+    residue_counts = {k: [0] * k for k in ks}
+    primitive = dict.fromkeys(ks, 0)
+    lo, hi = interval.lo, interval.hi
+    # lo > 0, so of z and -z only the one with <., s> = |<z, s>| can lie
+    # in [k lo, k hi]; the canonical z stands for it (same norm, same gcd).
+    for norm, dot, z in _half_ball(s, mu):
+        k = 1
+        while norm + k * k < mu:
+            if k * lo <= dot <= k * hi:
+                r = dot % k
+                residue_counts[k][r] += 1
+                if r == 0:
+                    if lo <= dot // k <= hi:
+                        obstructed[k].add(dot // k)
+                    if math.gcd(k, *z) == 1:
+                        primitive[k] += 1
+            k += 1
+    union = set().union(*obstructed.values())
+    return museq.ObstructionReport(
+        k_max=len(ks),
+        A=oracle_cutoff(s, mu, interval),
+        obstructed={k: sorted(ik) for k, ik in obstructed.items()},
+        witness_counts={k: (residue_counts[k][0], primitive[k]) for k in ks},
+        residue_counts=residue_counts,
+        union=sorted(union),
+        union_size=len(union),
+    )
+
+
+def check_against_walk(s, mu, interval):
+    """The (norm, |dot|) table gives what the half-ball walk gave."""
+    assert museq.forbidden_values(s, mu) == walk_forbidden_values(s, mu)
+    report = museq.interval_obstructions(s, mu, interval)
+    assert report == walk_interval_obstructions(s, mu, interval)
 
 
 @st.composite
@@ -116,6 +198,18 @@ def obstruction_cases(draw):
     s = SVector((1,) + tuple(tail))
     mu = draw(st.integers(2, 14))
     bound = st.one_of(st.integers(1, 80), st.floats(1e-3, 80.0))
+    lo, hi = sorted((draw(bound), draw(bound)))
+    return s, mu, museq.IntervalSpec.from_bounds(lo, hi, mu, len(s.entries))
+
+
+@st.composite
+def wide_mu_cases(draw):
+    """(s, mu, interval): n <= 3, mu <= 50, so k reaches 4 (h = 4 is not
+    squarefree) and 6 (h in {1, 2, 3, 6})."""
+    tail = draw(st.lists(st.integers(1, 60), max_size=2))
+    s = SVector((1,) + tuple(tail))
+    mu = draw(st.integers(2, 50))
+    bound = st.one_of(st.integers(1, 200), st.floats(1e-3, 200.0))
     lo, hi = sorted((draw(bound), draw(bound)))
     return s, mu, museq.IntervalSpec.from_bounds(lo, hi, mu, len(s.entries))
 
@@ -132,7 +226,7 @@ class TestBallPoints:
     @pytest.mark.parametrize("n,bound", [(1, 5), (2, 7), (3, 4), (4, 9)])
     def test_matches_brute_force(self, n, bound):
         s = SVector((1, 5, 12, 40)[:n])
-        walked = list(museq._half_ball(s, bound + 1))
+        walked = list(_half_ball(s, bound + 1))
         pairs = {frozenset((z, tuple(-x for x in z))) for _, _, z in walked}
         expected = {frozenset((z, tuple(-x for x in z)))
                     for z in brute_ball(n, bound) if any(z)}
@@ -143,7 +237,7 @@ class TestBallPoints:
             assert dot == abs(sum(x * e for x, e in zip(z, s.entries)))
 
     def test_half_ball_pairs(self):
-        points = [z for _, _, z in museq._half_ball(SVector((1, 2, 3, 4)), 10)]
+        points = [z for _, _, z in _half_ball(SVector((1, 2, 3, 4)), 10)]
         assert len(points) == sum(1 for z in brute_ball(4, 9) if any(z)) // 2
         for z in points:
             assert next(x for x in z if x) > 0
@@ -151,9 +245,9 @@ class TestBallPoints:
     def test_empty_for_nonpositive_bound(self):
         # mu = 2 leaves only the zero point below mu - 1 = 1
         for n in range(1, 5):
-            assert list(museq._half_ball(SVector((1,) * n), 2)) == []
+            assert list(_half_ball(SVector((1,) * n), 2)) == []
         with pytest.raises(InputError):
-            museq._half_ball(SVector((1, 2)), 1)
+            _half_ball(SVector((1, 2)), 1)
 
 
 class TestOracles:
@@ -161,12 +255,57 @@ class TestOracles:
     @given(obstruction_cases())
     def test_match_full_ball_oracles(self, case):
         s, mu, interval = case
+        check_against_walk(s, mu, interval)
         assert museq.forbidden_values(s, mu) == oracle_forbidden_values(s, mu)
         report = museq.interval_obstructions(s, mu, interval)
         expected = oracle_interval_obstructions(s, mu, interval)
         for field in ("k_max", "obstructed", "witness_counts", "residue_counts",
                       "union", "union_size", "A"):
             assert getattr(report, field) == getattr(expected, field), field
+
+
+class TestTableMatchesWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(wide_mu_cases())
+    def test_wide_mu(self, case):
+        check_against_walk(*case)
+
+    @pytest.mark.parametrize("mu,lo,hi", [(17, 1, 40), (37, 1.5, 120.25), (50, 3, 1e300),
+                                          (50, 1, 1.7e308)])
+    def test_composite_k(self, mu, lo, hi):
+        # k = 4 and k = 6 are reached, the gcd drops some witnesses of X_k(0),
+        # and k hi may overflow to inf
+        s = SVector((1, 2, 5))
+        interval = museq.IntervalSpec.from_bounds(lo, hi, mu, 3)
+        check_against_walk(s, mu, interval)
+        counts = museq.interval_obstructions(s, mu, interval).witness_counts
+        assert any(p < x for x, p in counts.values())
+
+    def test_large_mu_few_dimensions(self):
+        # the two forbidden sets greedy_sequence(2000, 2) reads
+        s = SVector((1,))
+        for _ in range(2):
+            forbidden = museq.forbidden_values(s, 2000)
+            assert forbidden == walk_forbidden_values(s, 2000)
+            s = s.extended(museq.greedy_extend(s, 2000))
+
+    def test_memory(self):
+        # the last greedy step of the bench row (14, 8), and an interval of
+        # +/- 12 around the entry it picks
+        entries = museq.greedy_sequence(14, 8).s.entries
+        s = SVector(entries[:-1])
+        interval = museq.IntervalSpec.from_bounds(
+            entries[-1] - 12, entries[-1] + 12, 14, len(s.entries))
+        runs = ((lambda: museq.forbidden_values(s, 14), 2 << 20),
+                (lambda: museq.interval_obstructions(s, 14, interval), 1 << 20))
+        for run, limit in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit
 
 
 class TestForbiddenValues:
@@ -183,6 +322,25 @@ class TestForbiddenValues:
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "1000")
         with pytest.raises(ResourceBudgetError):
             museq.forbidden_values(SVector((1,) * 9), 10**6)
+
+    def test_budget_counts_the_ball_exactly(self, monkeypatch):
+        # the bound (about 3500) is over the budget, the exact count is not
+        s = SVector((1,) * 5)
+        exact = numth.ball_point_count(5, 9)
+        assert exact < numth.ball_point_count_bound(5, 9)
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(exact))
+        assert museq.forbidden_values(s, 10) == walk_forbidden_values(s, 10)
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(exact - 1))
+        with pytest.raises(ResourceBudgetError) as refused:
+            museq.forbidden_values(s, 10)
+        assert refused.value.estimate == exact
+
+    def test_bound_refuses_when_the_count_is_dear(self, monkeypatch):
+        # the exact count's n mu (isqrt(mu - 1) + 1) steps are over the budget
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", "100")
+        with pytest.raises(ResourceBudgetError) as refused:
+            museq.forbidden_values(SVector((1,) * 5), 10)
+        assert refused.value.estimate == numth.ball_point_count_bound(5, 9)
 
 
 class TestGreedy:
