@@ -11,7 +11,7 @@ class InputError(LatpackError):
 
 class ResourceBudgetError(LatpackError):
     """A computation would exceed its work budget (enumeration nodes,
-    ball points or Moebius terms)."""
+    half-ball points or Moebius terms)."""
 
     def __init__(self, message, estimate, budget):
         super().__init__(message)

@@ -88,9 +88,10 @@ class ObstructionReport:
 
 def _ball_table(s: SVector, mu: int) -> dict:
     """{m: {d: #z}} over z in Z^(len(s) - 1), m = |z|^2 <= mu - 2, d = |<z, s>|
-    on the first len(s) - 1 entries.  Refused first if the ball of squared
-    radius mu - 1 in Z^len(s) has more points than `lattice.enum_budget()`,
-    by the bound, or by the exact count when that is cheap enough.
+    on the first len(s) - 1 entries.  Refused first if the readers' work,
+    the pairs (z, k) with z in Z^len(s), k >= 1 and |z|^2 + k^2 <= mu - 1,
+    is over `lattice.enum_budget()`: by half the point-count bound of that
+    ball in Z^(len(s) + 1), or by the exact count when that is cheap enough.
 
     Each entry e is added in place, norms from the top down, so a row is
     read before anything is added to it: x = +/-a moves |dot| d to d + a e
@@ -98,12 +99,13 @@ def _ball_table(s: SVector, mu: int) -> dict:
     """
     _check_mu(mu)
     n, budget = len(s.entries), lattice.enum_budget()
-    estimate = numth.ball_point_count_bound(n, mu - 1)
+    estimate = numth.ball_point_count_bound(n + 1, mu - 1) / 2
     if estimate > budget and n * mu * (math.isqrt(mu - 1) + 1) <= budget:
-        estimate = numth.ball_point_count(n, mu - 1)
+        counts = numth.theta_coefficients(n, mu - 1)
+        estimate = sum(c * math.isqrt(mu - 1 - m) for m, c in enumerate(counts))
     if estimate > budget:
         raise ResourceBudgetError(
-            f"ball of squared radius {mu - 1} in dimension {n} is too large",
+            f"half-ball of squared radius {mu - 1} in dimension {n + 1} is too large",
             estimate=estimate, budget=budget)
     table = {0: {0: 1}}
     for e in s.entries[:-1]:
@@ -215,8 +217,9 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec):
     ks = range(1, math.isqrt(mu - 1) + 1)
     obstructed, witness_counts, residue_counts = {}, {}, {}
     for k in ks:
-        # integer dots in [k lo, k hi]; vmax >= |<z, s>| caps k hi, which may be inf
-        top, a, b = mu - 1 - k * k, math.ceil(k * lo), math.floor(min(k * hi, vmax))
+        # integer dots in [k lo, k hi]; vmax >= |<z, s>| caps both, which may be inf
+        top = mu - 1 - k * k
+        a, b = math.ceil(min(k * lo, vmax + 1)), math.floor(min(k * hi, vmax))
         counts, ik = [0] * k, set()
         for v, c in _dot_hits(rows, e, top, a, b):
             counts[v % k] += c
@@ -232,12 +235,26 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec):
         residue_counts[k] = [c // 2 for c in counts]
     union = sorted(set().union(*obstructed.values()))
     # Asymptotic cutoff reported for comparison with the exact k range.
-    log_v = numth.log_ball_volume(n - 1)
-    log_delta = lattice.log_center_density(n - 1, mu, lattice.determinant(s)) + log_v
+    prev_dim = n - 1
+    log_delta = (
+        lattice.log_center_density(prev_dim, mu, lattice.determinant(s))
+        + numth.log_ball_volume(prev_dim)
+    )
     a_value = math.exp(
-        (1 - n) * math.log(2.0) + log_v - numth.log_ball_volume(n) - log_delta)
-    return ObstructionReport(len(ks), math.floor(a_value / interval.sigma), obstructed,
-                             witness_counts, residue_counts, union, len(union))
+        (1 - n) * math.log(2.0)
+        + numth.log_ball_volume(prev_dim)
+        - numth.log_ball_volume(n)
+        - log_delta
+    ) / interval.sigma
+    return ObstructionReport(
+        k_max=len(ks),
+        A=math.floor(a_value),
+        obstructed=obstructed,
+        witness_counts=witness_counts,
+        residue_counts=residue_counts,
+        union=union,
+        union_size=len(union),
+    )
 
 
 def smallest_unobstructed(report: ObstructionReport, interval: IntervalSpec):

@@ -3,9 +3,9 @@
 Moebius function and divisor-weighted sums from one smallest-prime-factor
 table, the one cap sum behind F_n, the lifting inequality, the majorization
 chain and f_n, unit-ball volumes via log-Gamma (safe up to dimensions in
-the thousands), the ball-point counting bound and the exact ball-point
-count (a convolution of theta series coefficients) used to budget the
-museq ball table, and the bisection behind Y_n, psi and f_n.
+the thousands), the ball-point counting bound and the exact counts by
+norm (the theta series coefficients) used to budget the museq ball
+table, and the bisection behind Y_n, psi and f_n.
 """
 
 import math
@@ -124,20 +124,21 @@ def ball_point_count_bound(n: int, mu: int) -> float:
         return math.inf
 
 
-def ball_point_count(n: int, mu: int) -> int:
-    """Exact number of integer points of squared norm <= mu in dimension n:
-    the coefficients of theta_Z(q)^n = (1 + 2q + 2q^4 + 2q^9 + ...)^n up
-    to q^mu, summed.  One dimension at a time, in place from the top norm
-    down, in about n (mu + 1) (isqrt(mu) + 1) steps."""
+def theta_coefficients(n: int, mu: int) -> list[int]:
+    """[r_n(0), ..., r_n(mu)]: r_n(m) integer points of squared norm m in
+    dimension n, the coefficients of theta_Z(q)^n = (1 + 2q + 2q^4 + ...)^n.
+    One dimension at a time, in about n (mu + 1) (isqrt(mu) + 1) steps."""
     if n < 1 or mu < 0:
-        raise InputError(f"ball_point_count requires n >= 1, mu >= 0; got {n}, {mu}")
-    counts = [1] + [0] * mu
-    for _ in range(n):
-        for m in range(mu, -1, -1):
-            c = 2 * counts[m]
-            for x in range(1, math.isqrt(mu - m) + 1):
-                counts[m + x * x] += c
-    return sum(counts)
+        raise InputError(f"theta_coefficients requires n >= 1, mu >= 0; got {n}, {mu}")
+    counts = [0] * (mu + 1)
+    for x in range(math.isqrt(mu) + 1):
+        counts[x * x] = 2 if x else 1
+    for _ in range(n - 1):
+        new = counts[:]
+        for x in range(1, math.isqrt(mu) + 1):
+            new[x * x:] = [a + 2 * b for a, b in zip(new[x * x:], counts)]
+        counts = new
+    return counts
 
 
 def bisect_increasing(f, target, lo, hi, rtol, what) -> float:

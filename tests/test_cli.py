@@ -286,6 +286,13 @@ class TestExitCodes:
             assert out == "" and err.count("\n") == 1
             assert "ball of squared radius 2" in err
 
+    def test_budget_counts_the_readers_work(self, capsys):
+        # 7.8e7 ball points at the third step, under the default budget, but
+        # 1.2e10 pairs (z, k) for the readers to stream: refused, not run
+        assert cli.run(["museq", "greedy", "--mu", "70000", "--dim", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "half-ball of squared radius 69999 in dimension 4" in err
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):
             cli.run(["lattice", "report", "--bogus", "1"])

@@ -281,6 +281,11 @@ class TestTableMatchesWalk:
         counts = museq.interval_obstructions(s, mu, interval).witness_counts
         assert any(p < x for x, p in counts.values())
 
+    def test_k_lo_overflows(self):
+        # 2 lo = inf: every k >= 2 has no dots, as in the walk, and no traceback
+        interval = museq.IntervalSpec.from_bounds(1e308, 1.5e308, 50, 3)
+        check_against_walk(SVector((1, 2, 5)), 50, interval)
+
     def test_large_mu_few_dimensions(self):
         # the two forbidden sets greedy_sequence(2000, 2) reads
         s = SVector((1,))
@@ -323,24 +328,29 @@ class TestForbiddenValues:
         with pytest.raises(ResourceBudgetError):
             museq.forbidden_values(SVector((1,) * 9), 10**6)
 
-    def test_budget_counts_the_ball_exactly(self, monkeypatch):
-        # the bound (about 3500) is over the budget, the exact count is not
+    def test_budget_counts_the_work_exactly(self, monkeypatch):
+        # the readers' work is the pairs (z, k), k >= 1, |z|^2 + k^2 <= mu - 1:
+        # the bound (about 6000) is over the budget, the exact count is not
         s = SVector((1,) * 5)
-        exact = numth.ball_point_count(5, 9)
-        assert exact < numth.ball_point_count_bound(5, 9)
-        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(exact))
+        pairs = sum(c * math.isqrt(9 - m)
+                    for m, c in enumerate(numth.theta_coefficients(5, 9)))
+        assert pairs == sum(math.isqrt(9 - sum(x * x for x in z))
+                            for z in itertools.product(range(-3, 4), repeat=5)
+                            if sum(x * x for x in z) <= 9)
+        assert pairs < numth.ball_point_count_bound(6, 9) / 2
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(pairs))
         assert museq.forbidden_values(s, 10) == walk_forbidden_values(s, 10)
-        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(exact - 1))
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(pairs - 1))
         with pytest.raises(ResourceBudgetError) as refused:
             museq.forbidden_values(s, 10)
-        assert refused.value.estimate == exact
+        assert refused.value.estimate == pairs
 
     def test_bound_refuses_when_the_count_is_dear(self, monkeypatch):
         # the exact count's n mu (isqrt(mu - 1) + 1) steps are over the budget
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "100")
         with pytest.raises(ResourceBudgetError) as refused:
             museq.forbidden_values(SVector((1,) * 5), 10)
-        assert refused.value.estimate == numth.ball_point_count_bound(5, 9)
+        assert refused.value.estimate == numth.ball_point_count_bound(6, 9) / 2
 
 
 class TestGreedy:
