@@ -242,7 +242,7 @@ CHECKS = (
           "1 - tau(1)/tau'(1) = 0.8408836 is confirmed by finite differences "
           "and by the empirical contraction rate of the iterates"),
     Check("06_convergence_table", "convergence table to n=1024",
-          _convergence_table, limit_s=60.0),
+          _convergence_table, limit_s=5.0),
     Check("07_asymptotic_fit", "fit constant term",
           lambda shared: thetaflow.asymptotic_fit(shared.trace).c0,
           lambda shared: thetaflow.fixpoint()[0], 1e-4),

@@ -86,12 +86,31 @@ class ObstructionReport:
     union_size: int
 
 
+def _pairs_lower_bound(n: int, top: int) -> float:
+    """Lower bound on the pairs (z, k), z in Z^n, k >= 1, |z|^2 + k^2 <= top:
+    half the points of that ball in Z^(n + 1), whose unit cubes cover the
+    ball of radius sqrt(top) - sqrt(n + 1)/2, less the k = 0 slice, whose
+    unit cubes lie in the ball of radius sqrt(top) + sqrt(n)/2 in R^n.  The
+    factor 1 - 1e-9 covers the rounding; inf past float range."""
+    try:
+        r = math.sqrt(top)
+        inner = r - math.sqrt(n + 1) / 2.0
+        if inner <= 0.0:
+            return 0.0
+        ball = math.exp((n + 1) * math.log(inner) + numth.log_ball_volume(n + 1))
+        k0 = math.exp(n * math.log(r + math.sqrt(n) / 2.0) + numth.log_ball_volume(n))
+    except OverflowError:  # top or the ball's count does not fit in a float
+        return math.inf
+    return (1.0 - 1e-9) * (ball - k0) / 2.0
+
+
 def _ball_table(s: SVector, mu: int) -> dict:
     """{m: {d: #z}} over z in Z^(len(s) - 1), m = |z|^2 <= mu - 2, d = |<z, s>|
     on the first len(s) - 1 entries.  Refused first if the readers' work,
     the pairs (z, k) with z in Z^len(s), k >= 1 and |z|^2 + k^2 <= mu - 1,
-    is over `lattice.enum_budget()`: by half the point-count bound of that
-    ball in Z^(len(s) + 1), or by the exact count when that is cheap enough.
+    is over `lattice.enum_budget()`: at once by a lower bound on the pairs,
+    then by half the point-count bound of that ball in Z^(len(s) + 1), or by
+    the exact count when that is cheap enough.
 
     Each entry e is added in place, norms from the top down, so a row is
     read before anything is added to it: x = +/-a moves |dot| d to d + a e
@@ -99,10 +118,12 @@ def _ball_table(s: SVector, mu: int) -> dict:
     """
     _check_mu(mu)
     n, budget = len(s.entries), lattice.enum_budget()
-    estimate = numth.ball_point_count_bound(n + 1, mu - 1) / 2
-    if estimate > budget and n * mu * (math.isqrt(mu - 1) + 1) <= budget:
-        counts = numth.theta_coefficients(n, mu - 1)
-        estimate = sum(c * math.isqrt(mu - 1 - m) for m, c in enumerate(counts))
+    estimate = _pairs_lower_bound(n, mu - 1)
+    if estimate <= budget:
+        estimate = numth.ball_point_count_bound(n + 1, mu - 1) / 2
+        if estimate > budget and n * mu * (math.isqrt(mu - 1) + 1) <= budget:
+            counts = numth.theta_coefficients(n, mu - 1)
+            estimate = sum(c * math.isqrt(mu - 1 - m) for m, c in enumerate(counts))
     if estimate > budget:
         raise ResourceBudgetError(
             f"half-ball of squared radius {mu - 1} in dimension {n + 1} is too large",

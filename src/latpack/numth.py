@@ -5,7 +5,7 @@ table, the one cap sum behind F_n, the lifting inequality, the majorization
 chain and f_n, unit-ball volumes via log-Gamma (safe up to dimensions in
 the thousands), the ball-point counting bound and the exact counts by
 norm (the theta series coefficients) used to budget the museq ball
-table, and the bisection behind Y_n, psi and f_n.
+table, and the root solver behind Y_n, psi and f_n.
 """
 
 import math
@@ -141,22 +141,85 @@ def theta_coefficients(n: int, mu: int) -> list[int]:
     return counts
 
 
+#: F_n's Euler-Maclaurin path is nondecreasing only to a few ulps (up to
+#: 4 seen near Y_n's root): the bisection replay calls f on the midpoints
+#: this close to the Illinois bracket instead of deciding them.
+_NOISE_ULPS = 16
+
+
 def bisect_increasing(f, target, lo, hi, rtol, what) -> float:
-    """Solve f(y) = target for nondecreasing f, f(lo) < target: double hi
-    until f(hi) >= target, then bisect until hi - lo <= rtol * max(1, hi)
-    or float spacing; returns the midpoint."""
+    """Solve f(y) = target for f nondecreasing as computed, f(lo) < target:
+    double hi until f(hi) >= target, then bisect until
+    hi - lo <= rtol * max(1, hi) or float spacing; returns the midpoint,
+    the float plain bisection returns.
+
+    The bisection is replayed, not run.  Illinois steps (regula falsi with
+    the Illinois modification, Dowell & Jarratt 1971) first narrow a
+    bracket a < b with f(a) < target <= f(b) to the bisection's final
+    width; the replay then decides every midpoint outside (a, b) by
+    monotonicity and calls f only inside it, or within `_NOISE_ULPS` ulps
+    of it, and never twice at one point.  Every point lies in the doubled
+    [lo, hi], and f(lo) is never called.
+    """
+    known = {}  # f at the points called so far
+    # a is the last hi with f(hi) < target; g = f - target at a and b.  An
+    # unknown f(a) is -inf: the secant point is then NaN, so the first
+    # steps bisect, on the replay's own midpoints, until f(a) is known.
+    a, ga = lo, -math.inf
+    fb = known[hi] = f(hi)
     doublings = 0
-    while f(hi) < target:
+    while fb < target:
+        a, ga = hi, fb - target
         hi *= 2.0
         doublings += 1
         if doublings > 200:  # 2^200 times any start still fits a double
             raise InputError(f"{what} bracket expansion failed to converge")
-    while hi - lo > rtol * max(1.0, hi):
+        fb = known[hi] = f(hi)
+    b, gb = hi, fb - target
+    side, widths = 0, [math.inf] * 3
+    while True:
+        width, x = b - a, 0.5 * (a + b)
+        stop = rtol * (b if b > 1.0 else 1.0)
+        if width <= stop or x <= a or x >= b:
+            break
+        # An Illinois cycle is at most three steps; one that has not
+        # halved the bracket is followed by a bisection step.
+        if width <= 0.5 * widths[-3]:
+            # the secant point, kept half a stop width (or an ulp) inside
+            # the bracket, so that a root next to b or a closes it
+            step = max(0.5 * stop, math.ulp(b))
+            s = min(max(a + width * (ga / (ga - gb)), a + step), b - step)
+            if a < s < b:  # False for NaN
+                x = s
+        widths.append(width)
+        fx = known[x] = f(x)
+        if fx < target:
+            a, ga = x, fx - target
+            if side < 0:  # a moved twice running: halve g(b)
+                gb *= 0.5
+            side = -1
+        else:
+            b, gb = x, fx - target
+            if side > 0:
+                ga *= 0.5
+            side = 1
+    margin = _NOISE_ULPS * math.ulp(b)
+    a, b = a - margin, b + margin
+    # max(1, hi) without a call: this loop runs about 44 times a solve
+    while hi - lo > rtol * (hi if hi > 1.0 else 1.0):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if f(mid) < target:
+        if mid <= a:
             lo = mid
-        else:
+        elif mid >= b:
             hi = mid
+        else:
+            fm = known.get(mid)
+            if fm is None:
+                fm = f(mid)
+            if fm < target:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)

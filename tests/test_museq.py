@@ -352,6 +352,33 @@ class TestForbiddenValues:
             museq.forbidden_values(SVector((1,) * 5), 10)
         assert refused.value.estimate == numth.ball_point_count_bound(6, 9) / 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 300))
+    def test_pairs_lower_bound_below_the_count(self, n, top):
+        pairs = sum(c * math.isqrt(top - m)
+                    for m, c in enumerate(numth.theta_coefficients(n, top)))
+        assert museq._pairs_lower_bound(n, top) <= pairs
+
+    def test_lower_bound_refuses_before_counting(self, monkeypatch):
+        # 1.2e10 pairs: the exact count's 5.6e7 steps are under the default
+        # budget, but the lower bound refuses before they start
+        def no_count(*args):
+            raise AssertionError("theta_coefficients called")
+
+        monkeypatch.delenv("LATPACK_ENUM_BUDGET", raising=False)
+        monkeypatch.setattr(numth, "theta_coefficients", no_count)
+        with pytest.raises(ResourceBudgetError) as refused:
+            museq.forbidden_values(SVector((1, 2, 3)), 70000)
+        assert refused.value.estimate == museq._pairs_lower_bound(3, 69999)
+        assert refused.value.estimate > lattice.DEFAULT_ENUM_BUDGET
+
+    def test_lower_bound_admits_every_ball_that_runs(self):
+        rows = [(mu, 12) for mu in range(2, 17)]
+        rows += [(5, 24), (6, 20), (8, 16), (4, 40), (3, 60)]
+        for mu, dim in rows:
+            for n in range(1, dim + 1):
+                assert museq._pairs_lower_bound(n, mu - 1) <= lattice.DEFAULT_ENUM_BUDGET
+
 
 class TestGreedy:
     def test_extend_examples(self):

@@ -4,7 +4,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latpack import numth
+from latpack import bounds, numth, thetaflow
 from latpack.errors import InputError
 
 # mu(1)..mu(20)
@@ -158,6 +158,39 @@ def test_theta_coefficients_in_high_dimension():
         numth.theta_coefficients(0, 4)
 
 
+def plain_bisect(f, target, lo, hi, rtol, what):
+    """The oracle: plain bisection, evaluating f at every midpoint."""
+    doublings = 0
+    while f(hi) < target:
+        hi *= 2.0
+        doublings += 1
+        if doublings > 200:
+            raise InputError(f"{what} bracket expansion failed to converge")
+    while hi - lo > rtol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def by_plain_bisection(solve):
+    """solve() with the oracle behind every caller of the solver."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numth, "bisect_increasing", plain_bisect)
+        return solve()
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name to count its calls; returns the count list."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 class TestBisectIncreasing:
     def test_rtol_zero_stops_at_adjacent_floats(self):
         t = 1.0 / 3.0
@@ -183,3 +216,83 @@ class TestBisectIncreasing:
         with pytest.raises(InputError, match="flat bracket expansion failed"):
             numth.bisect_increasing(flat, 1.0, 0.0, 1.0, rtol=1e-12, what="flat")
         assert calls[-1] == 2.0**200
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.01, 0.99), st.integers(1, 8),
+           st.sampled_from([0.0, 1e-13, 1e-6]))
+    def test_step_function_matches_plain_bisection(self, c, steps, rtol):
+        def f(y):
+            return math.floor(steps * (y - c))
+
+        for target in (0.0, 0.5, 1.0):
+            assert (numth.bisect_increasing(f, target, 0.0, 1.0, rtol, "step")
+                    == plain_bisect(f, target, 0.0, 1.0, rtol, "step"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(-3.0, 12.0),
+           st.floats(0.1, 1.0), st.sampled_from([0.0, 1e-12, 1e-9]))
+    def test_doubled_bracket_matches_plain_bisection(self, power, log_target,
+                                                     hi, rtol):
+        def f(y):
+            return y**power
+
+        target = 10.0**log_target
+        assert (numth.bisect_increasing(f, target, 0.0, hi, rtol, "power")
+                == plain_bisect(f, target, 0.0, hi, rtol, "power"))
+
+    def test_never_calls_f_at_lo_or_twice_at_a_point(self):
+        calls = []
+
+        def f(y):
+            calls.append(y)
+            return y**3
+
+        numth.bisect_increasing(f, 2.0, 0.25, 0.5, rtol=0.0, what="cube")
+        assert 0.25 not in calls and len(calls) == len(set(calls))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-30.0, 3.0))
+    def test_psi_matches_plain_bisection(self, log_t):
+        t = 10.0**log_t
+        assert thetaflow.psi(t) == by_plain_bisection(
+            lambda: thetaflow.psi(t))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 1024), st.floats(2.0, 40.0))
+    def test_f_step_matches_plain_bisection(self, n, x):
+        assert thetaflow.f_step(n, x) == by_plain_bisection(
+            lambda: thetaflow.f_step(n, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.floats(-2.0, 1.0))
+    def test_eval_Y_exact_path_matches_plain_bisection(self, n, log_x):
+        x = 10.0**log_x
+        y = bounds.eval_Y(n, x)
+        assert math.sqrt(x) * y <= bounds._K_EXACT  # F_n by cap_sum
+        assert y == by_plain_bisection(lambda: bounds.eval_Y(n, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 25), st.floats(-12.0, -2.0))
+    def test_eval_Y_large_path_matches_plain_bisection(self, n, log_x):
+        # F_n by Euler-Maclaurin, nondecreasing only to a few ulps here
+        x = 10.0**log_x
+        y = bounds.eval_Y(n, x)
+        assert math.sqrt(x) * y > 400
+        assert y == by_plain_bisection(lambda: bounds.eval_Y(n, x))
+
+
+class TestEvaluationCounts:
+    """Calls of the solved functions, counted by wrappers: machine-independent.
+    Plain bisection makes 45,285 cap_sum and 47,054 tau calls in
+    iterate_d(1024), and 55 eval_F calls in eval_Y(3, 1e-100)."""
+
+    def test_iterate_d(self, monkeypatch):
+        caps = counting(monkeypatch, numth, "cap_sum")
+        taus = counting(monkeypatch, thetaflow, "tau")
+        thetaflow.iterate_d(1024)
+        assert len(caps) <= 16_000 and len(taus) <= 18_000
+
+    def test_eval_Y_far_past_the_term_cap(self, monkeypatch):
+        calls = counting(monkeypatch, bounds, "eval_F")
+        assert bounds.eval_Y(3, 1e-100) == 5.739398940463585e+149
+        assert len(calls) <= 15
