@@ -6,11 +6,14 @@ exact Gram determinant share one exact Gram-Schmidt source, the
 integral d_i (products of squared Gram-Schmidt norms) and lambda_ij =
 d_j mu_ij; the minimum is certified by enumeration over the LLL-reduced
 basis, pruned in floats with a relative margin and decided in exact
-integers.  Density/center-density/Hermite values are computed in log
-space so large entries cannot overflow.
+integers.  The enumeration tree holds one of each pair +-v (Fincke and
+Pohst 1985; Schnorr and Euchner 1994), and each node carries its exact
+ambient vector, so leaves cost O(n).  Density/center-density/Hermite
+values are computed in log space so large entries cannot overflow.
 """
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -76,7 +79,11 @@ def basis_from_s(s: SVector) -> list[tuple[int, ...]]:
 
 def gram(rows) -> list[list[int]]:
     """Exact integer Gram matrix of the given basis rows."""
-    return [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+    g = [[sum(map(operator.mul, a, b)) for b in rows[: i + 1]]
+         for i, a in enumerate(rows)]
+    for i, row in enumerate(g):  # mirror the lower triangle
+        row.extend(g[j][i] for j in range(i + 1, len(g)))
+    return g
 
 
 def gram_determinant(g) -> int:
@@ -210,6 +217,11 @@ def shortest_vector(rows, upper=None):
     `enum_budget()` nodes it raises ResourceBudgetError carrying the
     Gaussian-heuristic node count of the whole search (at least the
     nodes already visited).
+
+    The tree is half the full one: while every coefficient above level i
+    is zero only x_i >= 0 is tried, so each pair +-v is visited once and
+    v = 0 never.  Each node carries its exact ambient vector
+    sum_{j>=i} x_j b_j, so a leaf's norm is a sum of n+1 squares.
     """
     if not rows:
         raise InputError(
@@ -226,12 +238,8 @@ def shortest_vector(rows, upper=None):
     except OverflowError:
         raise InputError("a squared Gram-Schmidt norm of the reduced basis "
                          "exceeds float range") from None
-    mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
-
-    def exact_norm(coeffs):
-        return sum(
-            coeffs[i] * coeffs[j] * g[i][j] for i in range(n) for j in range(n)
-        )
+    # column i of mu below the diagonal: mu_ji = lam[j][i] / d[i+1], j > i
+    mu_col = [[lam[j][i] / d[i + 1] for j in range(i + 1, n)] for i in range(n)]
 
     best = min(g[i][i] for i in range(n))
     if upper is not None and upper <= best:
@@ -241,16 +249,21 @@ def shortest_vector(rows, upper=None):
         upper = None  # a basis vector lies below upper: nothing to certify
         limit = best
     bound = limit * _PRUNE_MARGIN
-    candidates = []
+    witnesses = set()
     x = [0] * n
     nodes = 0
 
-    def descend(i, partial):
-        nonlocal best, bound, nodes, candidates
-        center = -sum(mu[j][i] * x[j] for j in range(i + 1, n))
+    def descend(i, partial, above, zero):
+        # above = sum_{j>i} x_j b_j; zero: every x_j above level i is 0
+        nonlocal best, bound, nodes, witnesses
+        center = -sum(map(operator.mul, mu_col[i], x[i + 1:]))
         radius = math.sqrt(max(bound - partial, 0.0) / c[i])
-        lo = math.ceil(center - radius - 1e-9)
+        if zero:  # center is 0: take x_i >= 0, and x_0 > 0 at the leaf
+            lo = 1 if i == 0 else 0
+        else:
+            lo = math.ceil(center - radius - 1e-9)
         hi = math.floor(center + radius + 1e-9)
+        row = reduced[i]
         for xi in range(lo, hi + 1):
             nodes += 1
             if nodes > budget:
@@ -263,32 +276,24 @@ def shortest_vector(rows, upper=None):
             new_partial = partial + c[i] * (xi - center) ** 2
             if new_partial > bound:
                 continue
-            if i == 0:
-                if all(v == 0 for v in x):
-                    continue
-                norm = exact_norm(x)
-                if upper is not None and norm >= upper:
-                    continue
-                if best is None or norm < best:
-                    best = norm
-                    bound = best * _PRUNE_MARGIN
-                    candidates = [tuple(x)]
-                elif norm == best:
-                    candidates.append(tuple(x))
-            else:
-                descend(i - 1, new_partial)
+            v = [a + xi * b for a, b in zip(above, row)] if xi else above
+            if i:
+                descend(i - 1, new_partial, v, zero and not xi)
+                continue
+            norm = sum(map(operator.mul, v, v))
+            if upper is not None and norm >= upper:
+                continue
+            if best is None or norm < best:
+                best = norm
+                bound = best * _PRUNE_MARGIN
+                witnesses = {_canonical(tuple(v))}
+            elif norm == best:
+                witnesses.add(_canonical(tuple(v)))
         x[i] = 0
 
-    descend(n - 1, 0.0)
+    descend(n - 1, 0.0, [0] * len(reduced[0]), True)
     if best is None:
         return upper, None
-    witnesses = set()
-    for coeffs in candidates:
-        ambient = tuple(
-            sum(coeffs[i] * reduced[i][j] for i in range(n))
-            for j in range(len(reduced[0]))
-        )
-        witnesses.add(_canonical(ambient))
     return best, min(witnesses)
 
 

@@ -143,12 +143,16 @@ def iterate_d(max_n: int) -> FlowTrace:
     rows = []
     d = 2.0
     w = 2.0
+    settled = False  # omega(w) == w: every later iterate is w as well
     prev_d = None
     for n in range(1, max_n + 1):
         if n > 1:
             prev_d = d
             d = f_step(n - 1, d)
-            w = omega(w)
+            if not settled:
+                next_w = omega(w)
+                settled = next_w == w
+                w = next_w
         if prev_d is None:
             a_n = 0
         else:

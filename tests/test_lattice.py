@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latpack import lattice
+from latpack import lattice, museq
 from latpack.acceptance import brute_minimum
 from latpack.errors import InputError, ResourceBudgetError
 from latpack.lattice import SVector
@@ -123,6 +123,80 @@ def lower_triangular_rows(draw):
     ]
 
 
+def plain_shortest_vector(rows, upper=None):
+    """Reference enumeration for `lattice.shortest_vector`: the whole tree,
+    both signs of every vector, each leaf's norm from the Gram matrix and
+    each witness expanded into ambient coordinates at the end; no budget.
+    The pruning and the exact decisions are the ones the library makes."""
+    reduced = lattice.lll_reduce(rows)
+    g = lattice.gram(reduced)
+    n = len(g)
+    d, lam = lattice.integral_gram_schmidt(g)
+    c = [d[i + 1] / d[i] for i in range(n)]
+    mu = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
+
+    def exact_norm(coeffs):
+        return sum(
+            coeffs[i] * coeffs[j] * g[i][j] for i in range(n) for j in range(n)
+        )
+
+    best = min(g[i][i] for i in range(n))
+    if upper is not None and upper <= best:
+        limit = math.ceil(upper) - 1
+        best = None
+    else:
+        upper = None
+        limit = best
+    bound = limit * lattice._PRUNE_MARGIN
+    candidates = []
+    x = [0] * n
+
+    def descend(i, partial):
+        nonlocal best, bound, candidates
+        center = -sum(mu[j][i] * x[j] for j in range(i + 1, n))
+        radius = math.sqrt(max(bound - partial, 0.0) / c[i])
+        lo = math.ceil(center - radius - 1e-9)
+        hi = math.floor(center + radius + 1e-9)
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            new_partial = partial + c[i] * (xi - center) ** 2
+            if new_partial > bound:
+                continue
+            if i == 0:
+                if all(v == 0 for v in x):
+                    continue
+                norm = exact_norm(x)
+                if upper is not None and norm >= upper:
+                    continue
+                if best is None or norm < best:
+                    best = norm
+                    bound = best * lattice._PRUNE_MARGIN
+                    candidates = [tuple(x)]
+                elif norm == best:
+                    candidates.append(tuple(x))
+            else:
+                descend(i - 1, new_partial)
+        x[i] = 0
+
+    descend(n - 1, 0.0)
+    if best is None:
+        return upper, None
+    witnesses = set()
+    for coeffs in candidates:
+        ambient = tuple(
+            sum(coeffs[i] * reduced[i][j] for i in range(n))
+            for j in range(len(reduced[0]))
+        )
+        witnesses.add(lattice._canonical(ambient))
+    return best, min(witnesses)
+
+
+def kernel_rows(lo, hi, max_size):
+    tails = st.lists(st.integers(min_value=lo, max_value=hi),
+                     min_size=1, max_size=max_size)
+    return tails.map(lambda tail: lattice.basis_from_s(SVector((1,) + tuple(tail))))
+
+
 class TestLLL:
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=10**6),
@@ -222,7 +296,7 @@ class TestShortestVector:
     def test_budget_exhaustion(self, monkeypatch):
         rows = lattice.basis_from_s(SVector((1, 31, 47, 59, 64)))
         estimates = []
-        for budget in (3, 5):
+        for budget in (2, 3):
             monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(budget))
             with pytest.raises(ResourceBudgetError) as info:
                 lattice.shortest_vector(rows)
@@ -263,6 +337,41 @@ class TestShortestVector:
             if previous is not None:
                 assert minimum <= previous
             previous = minimum
+
+
+class TestEnumerationOracle:
+    """`shortest_vector` walks half the tree and decides leaves from the
+    exact vector on the path; `plain_shortest_vector` walks all of it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        kernel_rows(1, 12, 8),  # many ties
+        kernel_rows(1, 10**6, 6),
+        kernel_rows(2**40, 2**60, 4),  # norms past float resolution
+        st.integers(min_value=2, max_value=12).map(
+            lambda mu: lattice.basis_from_s(museq.greedy_sequence(mu, 8).s)),
+        st.integers(min_value=1, max_value=12).map(
+            lambda n: lattice.basis_from_s(SVector((1,) * (n + 1)))),
+        lower_triangular_rows(),  # approx enumerates non-kernel bases
+    ))
+    def test_matches_plain_enumeration(self, rows):
+        result = lattice.shortest_vector(rows)
+        assert result == plain_shortest_vector(rows)
+        m = result[0]
+        for upper in (m, m + 1, max(1, m // 2)):
+            assert lattice.shortest_vector(rows, upper=upper) == \
+                plain_shortest_vector(rows, upper=upper)
+
+    @pytest.mark.parametrize("n", range(1, 29))
+    def test_a_n(self, n):
+        rows = lattice.basis_from_s(SVector((1,) * (n + 1)))
+        assert lattice.shortest_vector(rows) == (2, (0,) * (n - 1) + (1, -1))
+
+    def test_a10_report_within_300_nodes(self, monkeypatch):
+        # the whole tree takes 450 nodes, half of it 229
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", "300")
+        report = lattice.density_report(SVector((1,) * 11))
+        assert report.minimum == 2
 
 
 class TestDensityReport:
