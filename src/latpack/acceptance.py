@@ -8,6 +8,7 @@ with an expected value at a tolerance, or returns a pass/fail verdict.
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -38,15 +39,21 @@ def brute_minimum(s: SVector) -> int:
     """Exhaustive lattice minimum, the oracle for enumeration: z_0 is
     forced by orthogonality, and the free coordinates of a shortest
     vector are bounded by the square root of the smallest basis-vector
-    norm."""
-    tail = s.entries[1:]
+    norm.  Every point of that box is evaluated exactly, one row of the
+    last free coordinate x at a time: with p = <z, head> and q = |z|^2
+    over the others, the row's norms are (p + x last)^2 + x^2 + q, from
+    the pairs (x last, x^2) listed once; x = 0 leaves the row when q = 0,
+    so the zero vector is never a candidate."""
+    *head, last = tail = s.entries[1:]
     bound = math.isqrt(min(e * e + 1 for e in tail)) + 1
+    xs = range(-bound, bound + 1)
+    row = [(x * last, x * x) for x in xs]
+    nonzero = [(a, b) for a, b in row if b]
     best = None
-    for z in itertools.product(range(-bound, bound + 1), repeat=len(tail)):
-        if not any(z):
-            continue
-        z0 = -sum(a * b for a, b in zip(z, tail))
-        norm = z0 * z0 + sum(x * x for x in z)
+    for z in itertools.product(xs, repeat=len(head)):
+        p = sum(map(operator.mul, z, head))
+        q = sum(map(operator.mul, z, z))
+        norm = min([(p + a) ** 2 + b for a, b in (row if q else nonzero)]) + q
         if best is None or norm < best:
             best = norm
     return best

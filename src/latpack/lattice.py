@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from . import numth
 from .errors import InputError, ResourceBudgetError
 
-#: Default work budget: shortest-vector nodes, or half-ball points in
-#: `museq`; override with the LATPACK_ENUM_BUDGET environment variable.
+#: Default work budget: shortest-vector nodes, Gram-Schmidt steps of a
+#: kernel basis (`check_rank`), or half-ball points in `museq`; override
+#: with the LATPACK_ENUM_BUDGET environment variable.
 DEFAULT_ENUM_BUDGET = 10**8
 
 
@@ -65,9 +66,27 @@ class SVector:
         return SVector(self.entries + (int(value),))
 
 
+def check_rank(n: int) -> None:
+    """Refuse a rank-n kernel basis whose reduction is over `enum_budget()`.
+
+    The estimate is the inner steps of one integral Gram-Schmidt pass on
+    its Gram matrix, (n - 1) n (n + 1) / 6: `shortest_vector` makes two
+    such passes (in LLL and after it) and builds two n x n Gram matrices
+    of (n + 1)-term dot products before its first node, so this is a lower
+    bound on its work.
+    """
+    estimate, budget = (n - 1) * n * (n + 1) // 6, enum_budget()
+    if estimate > budget:
+        raise ResourceBudgetError(
+            f"lattice of rank {n} is too large to reduce",
+            estimate=estimate, budget=budget)
+
+
 def basis_from_s(s: SVector) -> list[tuple[int, ...]]:
-    """Kernel basis rows b_i = s_i * e_0 - e_i for i = 1..n."""
+    """Kernel basis rows b_i = s_i * e_0 - e_i for i = 1..n, refused by
+    `check_rank` before its n (n + 1) entries are built."""
     n = s.dim
+    check_rank(n)
     rows = []
     for i in range(1, n + 1):
         row = [0] * (n + 1)

@@ -256,6 +256,8 @@ class TestExitCodes:
         ("bounds f --n 2 --x 1 --y 1e300", 2),
         ("bounds theorem1 --n 3 --delta-prev 1e-300 --delta 1e300", 2),  # h underflows
         ("theta fit --ladder 1,2,x", 1),
+        # the final certificate's reduction: refused before the first step
+        ("museq greedy --mu 3 --dim 1000000", 2),
         ("bounds f --n 3 --x 1e300 --y 1e10", 1),  # F overflows a float
         ("bounds cn --n 3 --x 1e300", 1),  # F_3 at x/100 overflows
         ("bounds y --n 25 --x 1e-30", 1),  # Y_25 lies past float range
@@ -276,6 +278,22 @@ class TestExitCodes:
     def test_budget_error(self, capsys, monkeypatch):
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "2")
         assert cli.run(["lattice", "report", "--s", "1,31,47,59"]) == 2
+
+    def test_budget_bounds_the_reduction(self, capsys, monkeypatch):
+        # rank 10^4: 1.7e11 Gram-Schmidt steps, refused before the basis is built
+        s = ",".join(["1"] * 10001)
+        for argv in (["lattice", "report", "--s", s],
+                     ["museq", "certify", "--s", s, "--mu", "3"]):
+            assert cli.run(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert "lattice of rank 10000 is too large to reduce" in err
+        # rank 3 takes 4 steps: budget 3 refuses the reduction, budget 4 the nodes
+        argv = ["lattice", "report", "--s", "1,31,47,59"]
+        for budget, reason in (("3", "rank 3"), ("4", "node budget")):
+            monkeypatch.setenv("LATPACK_ENUM_BUDGET", budget)
+            assert cli.run(argv) == 2
+            assert reason in capsys.readouterr().err
 
     def test_budget_bounds_the_ball_walks(self, capsys, monkeypatch):
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "2")

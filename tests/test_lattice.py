@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latpack import lattice, museq
+from latpack import acceptance, lattice, museq
 from latpack.acceptance import brute_minimum
 from latpack.errors import InputError, ResourceBudgetError
 from latpack.lattice import SVector
@@ -64,6 +64,33 @@ class TestBasisAndGram:
         rows = lattice.basis_from_s(s)
         assert lattice.gram_determinant(lattice.gram(rows)) == \
             lattice.determinant(s)
+
+
+class TestCheckRank:
+    def test_estimate_counts_gram_schmidt_steps(self, monkeypatch):
+        # the inner steps of integral_gram_schmidt on an n x n Gram matrix
+        for n in range(3, 30):  # from n = 3 the budget below stays >= 1
+            steps = sum(j for i in range(n) for j in range(i + 1))
+            monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(steps))
+            lattice.check_rank(n)
+            monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(steps - 1))
+            with pytest.raises(ResourceBudgetError) as refused:
+                lattice.check_rank(n)
+            assert refused.value.estimate == steps
+
+    def test_refused_before_the_basis_is_built(self, monkeypatch):
+        with pytest.raises(ResourceBudgetError) as refused:
+            lattice.basis_from_s(SVector((1,) * 10**4 + (1,)))
+        assert refused.value.estimate == (10**4 - 1) * 10**4 * (10**4 + 1) // 6
+        assert refused.value.budget == lattice.DEFAULT_ENUM_BUDGET
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", "165")  # rank 10: 165 steps
+        assert len(lattice.basis_from_s(SVector((1,) * 11))) == 10
+        with pytest.raises(ResourceBudgetError, match="rank 11"):
+            lattice.basis_from_s(SVector((1,) * 12))
+
+    def test_admits_the_largest_greedy_runs(self):
+        for n in (60, 40, 24, 12):
+            lattice.check_rank(n)
 
 
 def fraction_gram_schmidt(b):
@@ -372,6 +399,59 @@ class TestEnumerationOracle:
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "300")
         report = lattice.density_report(SVector((1,) * 11))
         assert report.minimum == 2
+
+
+def plain_brute_minimum(s):
+    """Reference for `acceptance.brute_minimum`: the same box, each point's
+    norm summed on its own."""
+    tail = s.entries[1:]
+    bound = math.isqrt(min(e * e + 1 for e in tail)) + 1
+    best = None
+    for z in itertools.product(range(-bound, bound + 1), repeat=len(tail)):
+        if not any(z):
+            continue
+        z0 = -sum(a * b for a, b in zip(z, tail))
+        norm = z0 * z0 + sum(x * x for x in z)
+        if best is None or norm < best:
+            best = norm
+    return best
+
+
+#: The largest smallest entry drawn per tail length: the box has
+#: (2 m + 3)^len points for a smallest entry m, here at most 50,625.
+_SMALLEST_ENTRY = {1: 1000, 2: 100, 3: 12, 4: 6}
+
+
+@st.composite
+def brute_instances(draw):
+    """s with 1..4 tail entries in 1..12 or up to 10^3, one of them small
+    enough for the box of the plain oracle."""
+    length = draw(st.integers(min_value=1, max_value=4))
+    top = draw(st.sampled_from((12, 1000)))
+    tail = draw(st.lists(st.integers(min_value=1, max_value=top),
+                         min_size=length - 1, max_size=length - 1))
+    small = draw(st.integers(min_value=1, max_value=min(top, _SMALLEST_ENTRY[length])))
+    tail.insert(draw(st.integers(min_value=0, max_value=length - 1)), small)
+    return SVector((1,) + tuple(tail))
+
+
+class TestBruteMinimum:
+    """`brute_minimum` evaluates its box a row of the last coordinate at a
+    time; `plain_brute_minimum` one point at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(brute_instances())
+    def test_matches_plain_oracle(self, s):
+        assert brute_minimum(s) == plain_brute_minimum(s)
+
+    def test_sweep_instances(self):
+        for s in acceptance._Shared().random_s[1]:
+            assert brute_minimum(s) == plain_brute_minimum(s)
+
+    def test_empty_head(self):
+        # one free coordinate x: norm (x e)^2 + x^2, least at x = +/-1
+        for e in (1, 2, 7, 1000):
+            assert brute_minimum(SVector((1, e))) == e * e + 1
 
 
 class TestDensityReport:
