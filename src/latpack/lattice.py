@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from . import numth
 from .errors import InputError, ResourceBudgetError
 
-#: Default work budget: shortest-vector nodes, Gram-Schmidt steps of a
-#: kernel basis (`check_rank`), or half-ball points in `museq`; override
-#: with the LATPACK_ENUM_BUDGET environment variable.
+#: Default work budget: shortest-vector nodes, the reduction of a kernel
+#: basis (see `check_rank`), or half-ball points in `museq`; override with
+#: the LATPACK_ENUM_BUDGET environment variable.
 DEFAULT_ENUM_BUDGET = 10**8
 
 

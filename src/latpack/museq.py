@@ -5,9 +5,7 @@ lattice in Z^(n+1) has minimum >= mu.  The greedy step and the interval
 obstruction sets I_k / X_k(a) read only the pairs (|z|^2, |<z, s>|) of the
 ball |z|^2 <= mu - 2, never the points z: one table counts them over all
 coordinates but the last, built one coordinate at a time, and each reader
-streams the last coordinate over it.  `greedy_sequence` carries one table
-from step to step and adds one entry per step: dim - 1 entry additions
-for dim steps, where a fresh table per step makes dim (dim - 1) / 2.
+streams the last coordinate over it.
 """
 
 import math
@@ -106,13 +104,20 @@ def _pairs_lower_bound(n: int, top: int) -> float:
     return (1.0 - 1e-9) * (ball - k0) / 2.0
 
 
-def _check_budget(n: int, mu: int) -> None:
-    """Refuse the table of an s with n entries if its readers' work, the
-    pairs (z, k) with z in Z^n, k >= 1 and |z|^2 + k^2 <= mu - 1, is over
-    `lattice.enum_budget()`: at once by a lower bound on the pairs, then by
-    half the point-count bound of that ball in Z^(n + 1), or by the exact
-    count when that is cheap enough."""
-    budget = lattice.enum_budget()
+def _ball_table(s: SVector, mu: int) -> dict:
+    """{m: {d: #z}} over z in Z^(len(s) - 1), m = |z|^2 <= mu - 2, d = |<z, s>|
+    on the first len(s) - 1 entries.  Refused first if the readers' work,
+    the pairs (z, k) with z in Z^len(s), k >= 1 and |z|^2 + k^2 <= mu - 1,
+    is over `lattice.enum_budget()`: at once by a lower bound on the pairs,
+    then by half the point-count bound of that ball in Z^(len(s) + 1), or by
+    the exact count when that is cheap enough.
+
+    Each entry e is added in place, norms from the top down, so a row is
+    read before anything is added to it: x = +/-a moves |dot| d to d + a e
+    and |d - a e|, one each whatever the sign of the dot.
+    """
+    _check_mu(mu)
+    n, budget = len(s.entries), lattice.enum_budget()
     estimate = _pairs_lower_bound(n, mu - 1)
     if estimate <= budget:
         estimate = numth.ball_point_count_bound(n + 1, mu - 1) / 2
@@ -123,40 +128,25 @@ def _check_budget(n: int, mu: int) -> None:
         raise ResourceBudgetError(
             f"half-ball of squared radius {mu - 1} in dimension {n + 1} is too large",
             estimate=estimate, budget=budget)
-
-
-def _add_entry(table: dict, e: int, top: int) -> None:
-    """Add the coordinate of entry e to the table {m: {d: #z}}, m <= top, in
-    place, norms from the top down, so a row is read before anything is
-    added to it: x = +/-a moves |dot| d to d + a e and |d - a e|, one each
-    whatever the sign of the dot."""
-    for m, row in sorted(table.items(), reverse=True):
-        for x in range(1, math.isqrt(top - m) + 1):
-            xe, target = x * e, table.setdefault(m + x * x, {})
-            get = target.get
-            for d, c in row.items():
-                target[d + xe] = get(d + xe, 0) + c
-                target[abs(d - xe)] = get(abs(d - xe), 0) + c
-
-
-def _ball_table(s: SVector, mu: int) -> dict:
-    """{m: {d: #z}} over z in Z^(len(s) - 1), m = |z|^2 <= mu - 2, d = |<z, s>|
-    on the first len(s) - 1 entries, refused first by `_check_budget`."""
-    _check_mu(mu)
-    _check_budget(len(s.entries), mu)
     table = {0: {0: 1}}
     for e in s.entries[:-1]:
-        _add_entry(table, e, mu - 2)
+        for m, row in sorted(table.items(), reverse=True):
+            for x in range(1, math.isqrt(mu - 2 - m) + 1):
+                xe, target = x * e, table.setdefault(m + x * x, {})
+                get = target.get
+                for d, c in row.items():
+                    target[d + xe] = get(d + xe, 0) + c
+                    target[abs(d - xe)] = get(abs(d - xe), 0) + c
     return table
 
 
-def _forbidden(table: dict, e: int, mu: int) -> set:
-    """The forbidden values of an s whose last entry is e, from the table of
-    its other entries: a = |<z, s>| / k, exact and positive, for
-    0 < |z|^2 < mu - 1 and |z|^2 + k^2 < mu.  The last coordinate x >= 0
-    of z is streamed over the table and never stored."""
-    out = set()
-    for m, row in table.items():
+def forbidden_values(s: SVector, mu: int):
+    """Values a such that appending a would create a vector of norm < mu:
+    a = |<z, s>| / k, exact and positive, for 0 < |z|^2 < mu - 1 and
+    |z|^2 + k^2 < mu.  The last coordinate x >= 0 of z is streamed over
+    the table and never stored.  Sorted and deduplicated."""
+    e, out = s.entries[-1], set()
+    for m, row in _ball_table(s, mu).items():
         for x in range(math.isqrt(mu - 2 - m) + 1):
             xe = x * e
             values = [d + xe for d in row] + [abs(d - xe) for d in row] if x else row
@@ -164,20 +154,7 @@ def _forbidden(table: dict, e: int, mu: int) -> set:
             ks = range(2, math.isqrt(mu - 1 - m - x * x) + 1)
             out.update([v // k for k in ks for v in values if v % k == 0])
     out.discard(0)
-    return out
-
-
-def _smallest_allowed(forbidden: set) -> int:
-    t = 1
-    while t in forbidden:
-        t += 1
-    return t
-
-
-def forbidden_values(s: SVector, mu: int):
-    """Values a such that appending a would create a vector of norm < mu,
-    sorted and deduplicated (see `_forbidden`)."""
-    return sorted(_forbidden(_ball_table(s, mu), s.entries[-1], mu))
+    return sorted(out)
 
 
 def _dot_hits(rows, e, top, a, b):
@@ -196,27 +173,23 @@ def _dot_hits(rows, e, top, a, b):
 
 def greedy_extend(s: SVector, mu: int) -> int:
     """Smallest positive value not forbidden for the next entry."""
-    return _smallest_allowed(_forbidden(_ball_table(s, mu), s.entries[-1], mu))
+    forbidden = set(forbidden_values(s, mu))
+    t = 1
+    while t in forbidden:
+        t += 1
+    return t
 
 
 def greedy_sequence(mu: int, dim: int) -> MuSequence:
-    """The lexicographically first mu-sequence out to the given dimension.
-
-    Refused up front when the final certification's reduction is over the
-    budget (`lattice.check_rank`).  One ball table is carried from step to
-    step: each step checks its own budget as `greedy_extend` does, then
-    adds only the entry before the last, so the table at every step is the
-    one `greedy_extend` would build there.
-    """
+    """The lexicographically first mu-sequence out to the given dimension,
+    refused before its first step when the final certificate's reduction is
+    over the budget (`lattice.check_rank`)."""
     if mu < 2 or dim < 1:
         raise InputError("need mu >= 2 and dim >= 1")
     lattice.check_rank(dim)
-    s, table = SVector((1,)), {0: {0: 1}}
+    s = SVector((1,))
     for _ in range(dim):
-        _check_budget(len(s.entries), mu)
-        if s.dim:
-            _add_entry(table, s.entries[-2], mu - 2)
-        s = s.extended(_smallest_allowed(_forbidden(table, s.entries[-1], mu)))
+        s = s.extended(greedy_extend(s, mu))
     return MuSequence(mu=mu, s=s, certified=certify(s, mu))
 
 

@@ -380,22 +380,6 @@ class TestForbiddenValues:
                 assert museq._pairs_lower_bound(n, mu - 1) <= lattice.DEFAULT_ENUM_BUDGET
 
 
-def plain_greedy_sequence(mu, dim):
-    """Reference for `museq.greedy_sequence`: one `greedy_extend` per step,
-    each building its ball table afresh, then the certificate."""
-    s = SVector((1,))
-    for _ in range(dim):
-        s = s.extended(museq.greedy_extend(s, mu))
-    return museq.MuSequence(mu=mu, s=s, certified=museq.certify(s, mu))
-
-
-def greedy_outcome(run, mu, dim):
-    try:
-        return run(mu, dim)
-    except ResourceBudgetError as exc:
-        return str(exc), exc.estimate, exc.budget
-
-
 class TestGreedy:
     def test_extend_examples(self):
         assert museq.greedy_extend(SVector((1,)), 2) == 1
@@ -429,36 +413,6 @@ class TestGreedy:
             step = museq.greedy_extend(s, mu)
             assert step == oracle_extend(s, mu)
             s = s.extended(step)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 20), st.integers(1, 8))
-    def test_carried_table_matches_extend_loop(self, mu, dim):
-        assert museq.greedy_sequence(mu, dim) == plain_greedy_sequence(mu, dim)
-
-    def test_carried_table_large_mu(self):
-        assert museq.greedy_sequence(2000, 2) == plain_greedy_sequence(2000, 2)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 20), st.integers(1, 8), st.integers(84, 20000))
-    def test_same_refusal_as_extend_loop(self, mu, dim, budget):
-        # budgets from 84, the rank-8 estimate of lattice.check_rank, up:
-        # the ball refusal names its step (its dimension), so an equal
-        # message is a refusal at the same step; or both certify, or both
-        # run out of enumeration nodes
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("LATPACK_ENUM_BUDGET", str(budget))
-            assert greedy_outcome(museq.greedy_sequence, mu, dim) == \
-                greedy_outcome(plain_greedy_sequence, mu, dim)
-
-    def test_refusals_at_each_step(self, monkeypatch):
-        # budgets that stop (12, 8) at its third, fifth and seventh step
-        refusals = set()
-        for budget in (100, 1000, 10000):
-            monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(budget))
-            outcome = greedy_outcome(museq.greedy_sequence, 12, 8)
-            assert outcome == greedy_outcome(plain_greedy_sequence, 12, 8)
-            refusals.add(outcome[0])
-        assert len(refusals) == 3 and all("half-ball" in r for r in refusals)
 
     def test_huge_dimension_refused_up_front(self):
         with pytest.raises(ResourceBudgetError, match="rank 1000000"):
