@@ -4,12 +4,13 @@ The lattice is Lambda(s) = {z in Z^(n+1) : <z, s> = 0}, realized by the
 explicit kernel basis b_i = s_i e_0 - e_i.  LLL, enumeration and the
 exact Gram determinant share one exact Gram-Schmidt source, the
 integral d_i (products of squared Gram-Schmidt norms) and lambda_ij =
-d_j mu_ij; the minimum is certified by enumeration over the LLL-reduced
-basis, pruned in floats with a relative margin and decided in exact
-integers.  The enumeration tree holds one of each pair +-v (Fincke and
-Pohst 1985; Schnorr and Euchner 1994), and each node carries its exact
-ambient vector, so leaves cost O(n).  Density/center-density/Hermite
-values are computed in log space so large entries cannot overflow.
+d_j mu_ij.  For Lambda(s) it starts from a closed form; LLL keeps it
+current and hands it to enumeration, which certifies the minimum over
+the reduced basis, pruned in floats with a relative margin and decided
+in exact integers.  The enumeration tree holds one of each pair +-v
+(Fincke and Pohst 1985; Schnorr and Euchner 1994), and each node carries
+its exact ambient vector, so leaves cost O(n).  Density/center-density/
+Hermite values are computed in log space so large entries cannot overflow.
 """
 
 import math
@@ -70,10 +71,9 @@ def check_rank(n: int) -> None:
     """Refuse a rank-n kernel basis whose reduction is over `enum_budget()`.
 
     The estimate is the inner steps of one integral Gram-Schmidt pass on
-    its Gram matrix, (n - 1) n (n + 1) / 6: `shortest_vector` makes two
-    such passes (in LLL and after it) and builds two n x n Gram matrices
-    of (n + 1)-term dot products before its first node, so this is a lower
-    bound on its work.
+    its Gram matrix, (n - 1) n (n + 1) / 6.  It is the admission rule,
+    not a bound on the work: a certificate seeds LLL with the O(n^2)
+    closed form of `kernel_gram_schmidt` and makes no such pass.
     """
     estimate, budget = (n - 1) * n * (n + 1) // 6, enum_budget()
     if estimate > budget:
@@ -116,6 +116,18 @@ def determinant(s: SVector) -> int:
     return sum(e * e for e in s.entries)
 
 
+def kernel_gram_schmidt(s: SVector):
+    """`integral_gram_schmidt(gram(basis_from_s(s)))` in closed form, refused
+    like the basis by `check_rank`.  The Gram matrix is I + t t^T with t =
+    s.entries[1:], so d[i] = 1 + t[0]^2 + ... + t[i-1]^2 (`determinant`
+    prefix by prefix) and lam[i][j] = t[i] t[j]."""
+    check_rank(s.dim)
+    t, d = s.entries[1:], [1]
+    for e in t:
+        d.append(d[-1] + e * e)
+    return d, [[a * b for b in t[:i]] + [0] * (s.dim - i) for i, a in enumerate(t)]
+
+
 def integral_gram_schmidt(g):
     """Integral Gram-Schmidt data (d, lam) of an integer Gram matrix.
 
@@ -151,17 +163,17 @@ def _round_div(a, b):
     return q
 
 
-def lll_reduce(rows) -> list[tuple[int, ...]]:
-    """LLL reduction with Lovasz parameter 99/100.
+def lll_reduce(rows, gs=None):
+    """LLL reduction with Lovasz parameter 99/100: (basis, d, lam).
 
-    All-integer LLL: the Gram-Schmidt data d/lam of
-    `integral_gram_schmidt` is computed once and updated in place on
-    each size reduction and swap, so every test is exact and the
-    returned basis spans exactly the same lattice.
+    All-integer LLL: the Gram-Schmidt data d/lam of the rows, `gs` or
+    else `integral_gram_schmidt` of their Gram matrix, is updated in
+    place on each size reduction and swap, so every test is exact, the
+    returned basis spans exactly the same lattice and d/lam is its data.
     """
     b = [list(r) for r in rows]
     n = len(b)
-    d, lam = integral_gram_schmidt(gram(b))
+    d, lam = gs or integral_gram_schmidt(gram(b))
     k = 1
     while k < n:
         lk = lam[k]
@@ -188,7 +200,7 @@ def lll_reduce(rows) -> list[tuple[int, ...]]:
             li[k - 1] = (new_d * old + t * li[k]) // d[k + 1]
         d[k] = new_d
         k = max(k - 1, 1)
-    return [tuple(r) for r in b]
+    return [tuple(r) for r in b], d, lam
 
 
 def _canonical(vec):
@@ -224,7 +236,7 @@ def _node_estimate(d, limit) -> int:
     return math.ceil(total)
 
 
-def shortest_vector(rows, upper=None):
+def shortest_vector(rows, upper=None, gs=None):
     """Exact lattice minimum by depth-first enumeration.
 
     Returns (minimum, witness) with the witness in ambient coordinates,
@@ -235,7 +247,7 @@ def shortest_vector(rows, upper=None):
     basis norm cannot certify, so the plain search answers it.  Past
     `enum_budget()` nodes it raises ResourceBudgetError carrying the
     Gaussian-heuristic node count of the whole search (at least the
-    nodes already visited).
+    nodes already visited).  `gs` seeds `lll_reduce`.
 
     The tree is half the full one: while every coefficient above level i
     is zero only x_i >= 0 is tried, so each pair +-v is visited once and
@@ -248,10 +260,8 @@ def shortest_vector(rows, upper=None):
             "(s needs at least two entries)"
         )
     budget = enum_budget()
-    reduced = lll_reduce(rows)
-    g = gram(reduced)
-    n = len(g)
-    d, lam = integral_gram_schmidt(g)
+    reduced, d, lam = lll_reduce(rows, gs)
+    n = len(reduced)
     try:  # int / int true division is correctly rounded, however large d is
         c = [d[i + 1] / d[i] for i in range(n)]
     except OverflowError:
@@ -260,7 +270,7 @@ def shortest_vector(rows, upper=None):
     # column i of mu below the diagonal: mu_ji = lam[j][i] / d[i+1], j > i
     mu_col = [[lam[j][i] / d[i + 1] for j in range(i + 1, n)] for i in range(n)]
 
-    best = min(g[i][i] for i in range(n))
+    best = min(sum(map(operator.mul, r, r)) for r in reduced)
     if upper is not None and upper <= best:
         limit = math.ceil(upper) - 1  # largest norm still below upper
         best = None
@@ -339,7 +349,7 @@ def density_report(s: SVector) -> DensityReport:
     """Exact minimum and determinant of Lambda(s) with Delta, delta, gamma."""
     n = s.dim
     det = determinant(s)
-    minimum, witness = shortest_vector(basis_from_s(s))
+    minimum, witness = shortest_vector(basis_from_s(s), gs=kernel_gram_schmidt(s))
     log_delta = log_center_density(n, minimum, det)
     delta = math.exp(log_delta)
     density = math.exp(log_delta + numth.log_ball_volume(n))

@@ -203,8 +203,13 @@ class TestApprox:
 class TestExitCodes:
     def test_input_error(self, capsys, monkeypatch, tmp_path):
         assert cli.run(["lattice", "report", "--s", "2,3"]) == 1
-        assert cli.run(["lattice", "report", "--s", "1"]) == 1
-        assert cli.run(["museq", "certify", "--s", "1", "--mu", "3"]) == 1
+        capsys.readouterr()
+        for argv in (["lattice", "report", "--s", "1"],
+                     ["museq", "certify", "--s", "1", "--mu", "3"]):
+            assert cli.run(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: the basis is empty")
         for mu, lo, hi in (("3", "0", "10"), ("3", "1", "1e400"), ("0", "1", "10")):
             assert cli.run(["museq", "obstructions", "--s", "1,2", "--mu", mu,
                             "--lo", lo, "--hi", hi]) == 1
@@ -290,7 +295,8 @@ class TestExitCodes:
             assert "lattice of rank 10000 is too large to reduce" in err
         # rank 3 takes 4 steps: budget 3 refuses the reduction, budget 4 the nodes
         argv = ["lattice", "report", "--s", "1,31,47,59"]
-        for budget, reason in (("3", "rank 3"), ("4", "node budget")):
+        for budget, reason in (("3", "rank 3 is too large to reduce (estimate 4,"),
+                               ("4", "node budget (estimate 6,")):
             monkeypatch.setenv("LATPACK_ENUM_BUDGET", budget)
             assert cli.run(argv) == 2
             assert reason in capsys.readouterr().err

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latpack import acceptance, lattice, museq
+from latpack import acceptance, approx, cli, lattice, museq
 from latpack.acceptance import brute_minimum
 from latpack.errors import InputError, ResourceBudgetError
 from latpack.lattice import SVector
@@ -79,14 +79,18 @@ class TestCheckRank:
             assert refused.value.estimate == steps
 
     def test_refused_before_the_basis_is_built(self, monkeypatch):
-        with pytest.raises(ResourceBudgetError) as refused:
-            lattice.basis_from_s(SVector((1,) * 10**4 + (1,)))
-        assert refused.value.estimate == (10**4 - 1) * 10**4 * (10**4 + 1) // 6
-        assert refused.value.budget == lattice.DEFAULT_ENUM_BUDGET
+        # neither the n (n + 1) rows nor the closed form's n^2 lam is built
+        for build in (lattice.basis_from_s, lattice.kernel_gram_schmidt):
+            with pytest.raises(ResourceBudgetError) as refused:
+                build(SVector((1,) * 10**4 + (1,)))
+            assert refused.value.estimate == (10**4 - 1) * 10**4 * (10**4 + 1) // 6
+            assert refused.value.budget == lattice.DEFAULT_ENUM_BUDGET
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "165")  # rank 10: 165 steps
         assert len(lattice.basis_from_s(SVector((1,) * 11))) == 10
-        with pytest.raises(ResourceBudgetError, match="rank 11"):
-            lattice.basis_from_s(SVector((1,) * 12))
+        assert len(lattice.kernel_gram_schmidt(SVector((1,) * 11))[1]) == 10
+        for build in (lattice.basis_from_s, lattice.kernel_gram_schmidt):
+            with pytest.raises(ResourceBudgetError, match="rank 11"):
+                build(SVector((1,) * 12))
 
     def test_admits_the_largest_greedy_runs(self):
         for n in (60, 40, 24, 12):
@@ -155,7 +159,7 @@ def plain_shortest_vector(rows, upper=None):
     both signs of every vector, each leaf's norm from the Gram matrix and
     each witness expanded into ambient coordinates at the end; no budget.
     The pruning and the exact decisions are the ones the library makes."""
-    reduced = lattice.lll_reduce(rows)
+    reduced = lattice.lll_reduce(rows)[0]
     g = lattice.gram(reduced)
     n = len(g)
     d, lam = lattice.integral_gram_schmidt(g)
@@ -218,10 +222,22 @@ def plain_shortest_vector(rows, upper=None):
     return best, min(witnesses)
 
 
-def kernel_rows(lo, hi, max_size):
+def kernel_s(lo, hi, max_size):
     tails = st.lists(st.integers(min_value=lo, max_value=hi),
                      min_size=1, max_size=max_size)
-    return tails.map(lambda tail: lattice.basis_from_s(SVector((1,) + tuple(tail))))
+    return tails.map(lambda tail: SVector((1,) + tuple(tail)))
+
+
+def kernel_rows(lo, hi, max_size):
+    return kernel_s(lo, hi, max_size).map(lattice.basis_from_s)
+
+
+def check_lll(rows):
+    """`lll_reduce` matches the rational reference on the basis, and the
+    d/lam it returns is that of the reduced basis, computed afresh."""
+    reduced, d, lam = lattice.lll_reduce(rows)
+    assert reduced == fraction_lll_reduce(rows)
+    assert (d, lam) == lattice.integral_gram_schmidt(lattice.gram(reduced))
 
 
 class TestLLL:
@@ -229,21 +245,19 @@ class TestLLL:
     @given(st.lists(st.integers(min_value=1, max_value=10**6),
                     min_size=1, max_size=10))
     def test_matches_fraction_oracle_on_kernel_bases(self, tail):
-        rows = lattice.basis_from_s(SVector((1,) + tuple(tail)))
-        assert lattice.lll_reduce(rows) == fraction_lll_reduce(rows)
+        check_lll(lattice.basis_from_s(SVector((1,) + tuple(tail))))
 
     def test_matches_fraction_oracle_on_ties(self):
         # small entries make mu_kj = +-1/2, +-3/2 ... often: the rounding
         # must break those ties to even, as round(Fraction) does
         for n in range(1, 4):
             for tail in itertools.product(range(1, 5), repeat=n):
-                rows = lattice.basis_from_s(SVector((1,) + tail))
-                assert lattice.lll_reduce(rows) == fraction_lll_reduce(rows)
+                check_lll(lattice.basis_from_s(SVector((1,) + tail)))
 
     @settings(max_examples=50, deadline=None)
     @given(lower_triangular_rows())
     def test_matches_fraction_oracle_on_general_rows(self, rows):
-        assert lattice.lll_reduce(rows) == fraction_lll_reduce(rows)
+        check_lll(rows)
         assert lattice.gram_determinant(lattice.gram(rows)) == \
             math.prod(row[i] for i, row in enumerate(rows)) ** 2
 
@@ -265,10 +279,10 @@ class TestLLL:
             lattice.shortest_vector(rows)
 
     def test_single_row_fixed(self):
-        assert lattice.lll_reduce([(1, -1)]) == [(1, -1)]
+        assert lattice.lll_reduce([(1, -1)]) == ([(1, -1)], [1, 2], [[0]])
 
     def test_a2_reduced_diagonal(self):
-        rows = lattice.lll_reduce(lattice.basis_from_s(SVector((1, 1, 1))))
+        rows, _, _ = lattice.lll_reduce(lattice.basis_from_s(SVector((1, 1, 1))))
         g = lattice.gram(rows)
         assert (g[0][0], g[1][1]) == (2, 2)
 
@@ -277,7 +291,8 @@ class TestLLL:
         for _ in range(10):
             s = SVector((1,) + tuple(rng.randint(1, 40) for _ in range(4)))
             rows = lattice.basis_from_s(s)
-            reduced = lattice.lll_reduce(rows)
+            reduced, d, _ = lattice.lll_reduce(rows)
+            assert d[-1] == lattice.determinant(s)
             assert lattice.gram_determinant(lattice.gram(reduced)) == \
                 lattice.gram_determinant(lattice.gram(rows))
 
@@ -399,6 +414,83 @@ class TestEnumerationOracle:
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "300")
         report = lattice.density_report(SVector((1,) * 11))
         assert report.minimum == 2
+
+
+#: The entry ranges of `TestEnumerationOracle`, at ranks 1..14.
+kernel_vectors = st.one_of(
+    kernel_s(1, 12, 14), kernel_s(1, 10**6, 14), kernel_s(2**40, 2**60, 14))
+
+
+class TestKernelGramSchmidt:
+    """The closed form seeds LLL on the certificate path; the generic
+    pass on the Gram matrix it replaces is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_vectors)
+    def test_matches_generic_pass(self, s):
+        d, lam = lattice.kernel_gram_schmidt(s)
+        rows = lattice.basis_from_s(s)
+        assert (d, lam) == lattice.integral_gram_schmidt(lattice.gram(rows))
+        assert d[-1] == lattice.determinant(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_vectors)
+    def test_seeded_lll_matches_unseeded(self, s):
+        rows = lattice.basis_from_s(s)
+        seeded = lattice.lll_reduce(rows, lattice.kernel_gram_schmidt(s))
+        assert seeded == lattice.lll_reduce(rows)
+        reduced, d, lam = seeded
+        assert (d, lam) == lattice.integral_gram_schmidt(lattice.gram(reduced))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_vectors)
+    def test_seeded_search_matches_plain_enumeration(self, s):
+        rows = lattice.basis_from_s(s)
+        # a fresh seed per search: LLL updates it in place
+        result = lattice.shortest_vector(rows, gs=lattice.kernel_gram_schmidt(s))
+        assert result == plain_shortest_vector(rows)
+        m = result[0]
+        for upper in (m, m + 1, max(1, m // 2)):
+            assert lattice.shortest_vector(
+                rows, upper=upper, gs=lattice.kernel_gram_schmidt(s)
+            ) == plain_shortest_vector(rows, upper=upper)
+
+
+class _GenericPass(Exception):
+    """Raised by `lattice.gram` and `lattice.integral_gram_schmidt` while
+    they are patched out."""
+
+
+class TestOneGramSchmidtPerCertificate:
+    """A Lambda(s) certificate builds no Gram matrix and makes no generic
+    Gram-Schmidt pass; generic rows still do."""
+
+    @pytest.fixture
+    def no_generic_pass(self, monkeypatch):
+        def refuse(*args):
+            raise _GenericPass
+        monkeypatch.setattr(lattice, "gram", refuse)
+        monkeypatch.setattr(lattice, "integral_gram_schmidt", refuse)
+
+    def test_certificates_answer(self, no_generic_pass, capsys):
+        assert lattice.density_report(SVector((1, 2, 3))).minimum == 3
+        assert museq.certify(SVector((1, 2, 3, 4, 5)), 3)
+        assert not museq.certify(SVector((1, 2, 3)), 4)
+        assert acceptance._enumeration_oracle(acceptance._Shared())
+        assert cli.run("lattice report --s 1,2,3".split()) == 0
+        assert '"minimum": 3' in capsys.readouterr().out
+        assert cli.run("museq certify --s 1,2,3,4,5 --mu 3".split()) == 0
+        assert '"certified": true' in capsys.readouterr().out
+        assert cli.run("museq greedy --mu 3 --dim 6".split()) == 0
+        assert '"certified": true' in capsys.readouterr().out
+
+    def test_generic_rows_take_the_generic_pass(self, no_generic_pass):
+        with pytest.raises(_GenericPass):  # approx's grid search
+            approx._float_gram_minimum([[1.0, 0.0], [0.5, 0.8]])
+        with pytest.raises(_GenericPass):  # criterion 10, the oracle
+            acceptance._determinant_identity(acceptance._Shared())
+        with pytest.raises(_GenericPass):
+            lattice.shortest_vector([(1, 0), (0, 1)])
 
 
 def plain_brute_minimum(s):
