@@ -36,9 +36,7 @@ def _museq_greedy(mu, dim):
 
 
 def _museq_certify(s, mu):
-    s = SVector(s)
-    minimum, witness = lattice.shortest_vector(
-        lattice.basis_from_s(s), upper=mu, gs=lattice.kernel_gram_schmidt(s))
+    minimum, witness = lattice.shortest_vector(lattice.basis_from_s(SVector(s)), upper=mu)
     certified = witness is None
     return {"certified": certified, "minimum_at_least": mu if certified else None,
             "violating_norm": None if certified else minimum,

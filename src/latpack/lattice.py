@@ -4,13 +4,14 @@ The lattice is Lambda(s) = {z in Z^(n+1) : <z, s> = 0}, realized by the
 explicit kernel basis b_i = s_i e_0 - e_i.  LLL, enumeration and the
 exact Gram determinant share one exact Gram-Schmidt source, the
 integral d_i (products of squared Gram-Schmidt norms) and lambda_ij =
-d_j mu_ij.  For Lambda(s) it starts from a closed form; LLL keeps it
-current and hands it to enumeration, which certifies the minimum over
-the reduced basis, pruned in floats with a relative margin and decided
-in exact integers.  The enumeration tree holds one of each pair +-v
-(Fincke and Pohst 1985; Schnorr and Euchner 1994), and each node carries
-its exact ambient vector, so leaves cost O(n).  Density/center-density/
-Hermite values are computed in log space so large entries cannot overflow.
+d_j mu_ij.  LLL recognises a kernel basis by its rows and starts from its
+closed form; it keeps the data current and hands it to enumeration, which
+certifies the minimum over the reduced basis, pruned in floats with a
+relative margin and decided in exact integers.  The enumeration tree holds
+one of each pair +-v (Fincke and Pohst 1985; Schnorr and Euchner 1994), and
+each node carries its exact ambient vector, so leaves cost O(n).  Density/
+center-density/Hermite values are computed in log space so large entries
+cannot overflow.
 """
 
 import math
@@ -72,8 +73,8 @@ def check_rank(n: int) -> None:
 
     The estimate is the inner steps of one integral Gram-Schmidt pass on
     its Gram matrix, (n - 1) n (n + 1) / 6.  It is the admission rule,
-    not a bound on the work: a certificate seeds LLL with the O(n^2)
-    closed form of `kernel_gram_schmidt` and makes no such pass.
+    not a bound on the work: LLL recognises the kernel basis by its rows,
+    starts from the O(n^2) closed form and makes no such pass.
     """
     estimate, budget = (n - 1) * n * (n + 1) // 6, enum_budget()
     if estimate > budget:
@@ -116,16 +117,19 @@ def determinant(s: SVector) -> int:
     return sum(e * e for e in s.entries)
 
 
-def kernel_gram_schmidt(s: SVector):
-    """`integral_gram_schmidt(gram(basis_from_s(s)))` in closed form, refused
-    like the basis by `check_rank`.  The Gram matrix is I + t t^T with t =
-    s.entries[1:], so d[i] = 1 + t[0]^2 + ... + t[i-1]^2 (`determinant`
-    prefix by prefix) and lam[i][j] = t[i] t[j]."""
-    check_rank(s.dim)
-    t, d = s.entries[1:], [1]
+def _kernel_gram_schmidt(rows):
+    """`integral_gram_schmidt(gram(rows))` in closed form when the rows are a
+    kernel basis, else None: n rows t[i] e_0 - e_(i+1) of length n + 1, t[i]
+    any integer.  Their Gram matrix is I + t t^T, so d[i] = 1 + t[0]^2 + ...
+    + t[i-1]^2 (`determinant` prefix by prefix) and lam[i][j] = t[i] t[j]."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != n + 1 or row[i + 1] != -1 or any(row[1:i + 1]) or any(row[i + 2:]):
+            return None
+    t, d = [row[0] for row in rows], [1]
     for e in t:
         d.append(d[-1] + e * e)
-    return d, [[a * b for b in t[:i]] + [0] * (s.dim - i) for i, a in enumerate(t)]
+    return d, [[a * b for b in t[:i]] + [0] * (n - i) for i, a in enumerate(t)]
 
 
 def integral_gram_schmidt(g):
@@ -163,17 +167,18 @@ def _round_div(a, b):
     return q
 
 
-def lll_reduce(rows, gs=None):
+def lll_reduce(rows):
     """LLL reduction with Lovasz parameter 99/100: (basis, d, lam).
 
-    All-integer LLL: the Gram-Schmidt data d/lam of the rows, `gs` or
-    else `integral_gram_schmidt` of their Gram matrix, is updated in
-    place on each size reduction and swap, so every test is exact, the
-    returned basis spans exactly the same lattice and d/lam is its data.
+    All-integer LLL: the Gram-Schmidt data d/lam of the rows (in closed
+    form when they are a kernel basis, else `integral_gram_schmidt` of
+    their Gram matrix) is updated in place on each size reduction and
+    swap, so every test is exact, the returned basis spans exactly the
+    same lattice and d/lam is its data.
     """
     b = [list(r) for r in rows]
     n = len(b)
-    d, lam = gs or integral_gram_schmidt(gram(b))
+    d, lam = _kernel_gram_schmidt(b) or integral_gram_schmidt(gram(b))
     k = 1
     while k < n:
         lk = lam[k]
@@ -236,7 +241,7 @@ def _node_estimate(d, limit) -> int:
     return math.ceil(total)
 
 
-def shortest_vector(rows, upper=None, gs=None):
+def shortest_vector(rows, upper=None):
     """Exact lattice minimum by depth-first enumeration.
 
     Returns (minimum, witness) with the witness in ambient coordinates,
@@ -247,7 +252,7 @@ def shortest_vector(rows, upper=None, gs=None):
     basis norm cannot certify, so the plain search answers it.  Past
     `enum_budget()` nodes it raises ResourceBudgetError carrying the
     Gaussian-heuristic node count of the whole search (at least the
-    nodes already visited).  `gs` seeds `lll_reduce`.
+    nodes already visited).
 
     The tree is half the full one: while every coefficient above level i
     is zero only x_i >= 0 is tried, so each pair +-v is visited once and
@@ -260,7 +265,7 @@ def shortest_vector(rows, upper=None, gs=None):
             "(s needs at least two entries)"
         )
     budget = enum_budget()
-    reduced, d, lam = lll_reduce(rows, gs)
+    reduced, d, lam = lll_reduce(rows)
     n = len(reduced)
     try:  # int / int true division is correctly rounded, however large d is
         c = [d[i + 1] / d[i] for i in range(n)]
@@ -349,7 +354,7 @@ def density_report(s: SVector) -> DensityReport:
     """Exact minimum and determinant of Lambda(s) with Delta, delta, gamma."""
     n = s.dim
     det = determinant(s)
-    minimum, witness = shortest_vector(basis_from_s(s), gs=kernel_gram_schmidt(s))
+    minimum, witness = shortest_vector(basis_from_s(s))
     log_delta = log_center_density(n, minimum, det)
     delta = math.exp(log_delta)
     density = math.exp(log_delta + numth.log_ball_volume(n))

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,15 +81,23 @@ class TestCheckRank:
 
     def test_refused_before_the_basis_is_built(self, monkeypatch):
         # neither the n (n + 1) rows nor the closed form's n^2 lam is built
-        for build in (lattice.basis_from_s, lattice.kernel_gram_schmidt):
-            with pytest.raises(ResourceBudgetError) as refused:
-                build(SVector((1,) * 10**4 + (1,)))
-            assert refused.value.estimate == (10**4 - 1) * 10**4 * (10**4 + 1) // 6
-            assert refused.value.budget == lattice.DEFAULT_ENUM_BUDGET
+        def reached(*args):
+            raise AssertionError("reached the reduction past the rank check")
+
+        certificates = (lattice.basis_from_s, lattice.density_report,
+                        lambda s: museq.certify(s, 2))
+        with monkeypatch.context() as patched:
+            patched.setattr(lattice, "_kernel_gram_schmidt", reached)
+            patched.setattr(lattice, "lll_reduce", reached)
+            for build in certificates:
+                with pytest.raises(ResourceBudgetError) as refused:
+                    build(SVector((1,) * 10**4 + (1,)))
+                assert refused.value.estimate == (10**4 - 1) * 10**4 * (10**4 + 1) // 6
+                assert refused.value.budget == lattice.DEFAULT_ENUM_BUDGET
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "165")  # rank 10: 165 steps
         assert len(lattice.basis_from_s(SVector((1,) * 11))) == 10
-        assert len(lattice.kernel_gram_schmidt(SVector((1,) * 11))[1]) == 10
-        for build in (lattice.basis_from_s, lattice.kernel_gram_schmidt):
+        assert museq.certify(SVector((1,) * 11), 2)
+        for build in certificates:
             with pytest.raises(ResourceBudgetError, match="rank 11"):
                 build(SVector((1,) * 12))
 
@@ -154,12 +163,20 @@ def lower_triangular_rows(draw):
     ]
 
 
+def generic_start(function, *args, **kwargs):
+    """`function(*args, **kwargs)` with `lll_reduce` started from the generic
+    Gram-Schmidt pass on any rows, kernel bases too."""
+    with mock.patch.object(lattice, "_kernel_gram_schmidt", lambda rows: None):
+        return function(*args, **kwargs)
+
+
 def plain_shortest_vector(rows, upper=None):
     """Reference enumeration for `lattice.shortest_vector`: the whole tree,
     both signs of every vector, each leaf's norm from the Gram matrix and
     each witness expanded into ambient coordinates at the end; no budget.
-    The pruning and the exact decisions are the ones the library makes."""
-    reduced = lattice.lll_reduce(rows)[0]
+    The pruning and the exact decisions are the ones the library makes;
+    LLL starts from the generic pass."""
+    reduced = generic_start(lattice.lll_reduce, rows)[0]
     g = lattice.gram(reduced)
     n = len(g)
     d, lam = lattice.integral_gram_schmidt(g)
@@ -421,24 +438,73 @@ kernel_vectors = st.one_of(
     kernel_s(1, 12, 14), kernel_s(1, 10**6, 14), kernel_s(2**40, 2**60, 14))
 
 
+@st.composite
+def kernel_shaped_rows(draw, min_rank=1):
+    """The rows `basis_from_s` builds, t[i] e_0 - e_(i+1), but with any
+    integer t[i] in column 0: zero and negative ones too."""
+    t = draw(st.lists(st.one_of(st.integers(-12, 12), st.integers(-2**60, 2**60)),
+                      min_size=min_rank, max_size=10))
+    return [tuple(t[i] if j == 0 else -1 if j == i + 1 else 0
+                  for j in range(len(t) + 1))
+            for i in range(len(t))]
+
+
+@st.composite
+def near_kernel_rows(draw):
+    """Kernel-shaped rows with one defect that breaks the shape but keeps
+    them independent: +1 for a -1, one more nonzero entry in columns 1..n,
+    two rows swapped, a row one entry longer or shorter, or one more row."""
+    rows = [list(row) for row in draw(kernel_shaped_rows(min_rank=2))]
+    n = len(rows)
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    defect = draw(st.sampled_from(
+        ["plus one", "extra entry", "swap", "longer", "shorter", "more rows"]))
+    if defect == "plus one":
+        rows[i][i + 1] = 1
+    elif defect == "extra entry":  # in column j + 1 of row i, off its -1
+        rows[i][j + 1] = draw(st.integers(-2**60, 2**60).filter(bool))
+    elif defect == "swap":
+        rows[i], rows[j] = rows[j], rows[i]
+    elif defect == "longer":
+        rows[i].append(draw(st.integers(-12, 12)))
+    elif defect == "shorter":  # drops a trailing 0, not the last row's -1
+        rows[min(i, j)].pop()
+    else:
+        rows.append([1] + [0] * n)  # e_0, off the hyperplane the rows span
+    return [tuple(row) for row in rows]
+
+
 class TestKernelGramSchmidt:
-    """The closed form seeds LLL on the certificate path; the generic
-    pass on the Gram matrix it replaces is the oracle."""
+    """LLL starts a kernel basis, recognised by its rows, from the closed
+    form; the generic pass on the Gram matrix it replaces is the oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_vectors)
     def test_matches_generic_pass(self, s):
-        d, lam = lattice.kernel_gram_schmidt(s)
         rows = lattice.basis_from_s(s)
+        d, lam = lattice._kernel_gram_schmidt(rows)
         assert (d, lam) == lattice.integral_gram_schmidt(lattice.gram(rows))
         assert d[-1] == lattice.determinant(s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_shaped_rows())
+    def test_closed_form_for_every_column_zero(self, rows):
+        assert lattice._kernel_gram_schmidt(rows) == \
+            lattice.integral_gram_schmidt(lattice.gram(rows))
+        assert lattice.lll_reduce(rows) == generic_start(lattice.lll_reduce, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_kernel_rows())
+    def test_near_misses_take_the_generic_pass(self, rows):
+        assert lattice._kernel_gram_schmidt(rows) is None
+        assert lattice.lll_reduce(rows) == generic_start(lattice.lll_reduce, rows)
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_vectors)
     def test_seeded_lll_matches_unseeded(self, s):
         rows = lattice.basis_from_s(s)
-        seeded = lattice.lll_reduce(rows, lattice.kernel_gram_schmidt(s))
-        assert seeded == lattice.lll_reduce(rows)
+        seeded = lattice.lll_reduce(rows)
+        assert seeded == generic_start(lattice.lll_reduce, rows)
         reduced, d, lam = seeded
         assert (d, lam) == lattice.integral_gram_schmidt(lattice.gram(reduced))
 
@@ -446,14 +512,29 @@ class TestKernelGramSchmidt:
     @given(kernel_vectors)
     def test_seeded_search_matches_plain_enumeration(self, s):
         rows = lattice.basis_from_s(s)
-        # a fresh seed per search: LLL updates it in place
-        result = lattice.shortest_vector(rows, gs=lattice.kernel_gram_schmidt(s))
+        result = lattice.shortest_vector(rows)
+        assert result == generic_start(lattice.shortest_vector, rows)
         assert result == plain_shortest_vector(rows)
         m = result[0]
         for upper in (m, m + 1, max(1, m // 2)):
-            assert lattice.shortest_vector(
-                rows, upper=upper, gs=lattice.kernel_gram_schmidt(s)
-            ) == plain_shortest_vector(rows, upper=upper)
+            verdict = lattice.shortest_vector(rows, upper=upper)
+            assert verdict == generic_start(lattice.shortest_vector, rows, upper=upper)
+            assert verdict == plain_shortest_vector(rows, upper=upper)
+
+    def test_one_rank_check_per_certificate(self, monkeypatch):
+        checked = []
+        check_rank = lattice.check_rank
+
+        def counted(n):
+            checked.append(n)
+            check_rank(n)
+
+        monkeypatch.setattr(lattice, "check_rank", counted)
+        lattice.density_report(SVector((1, 2, 3)))
+        assert checked == [2]
+        checked.clear()
+        museq.greedy_sequence(3, 6)  # up front, then in the final certificate
+        assert checked == [6, 6]
 
 
 class _GenericPass(Exception):
