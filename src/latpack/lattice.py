@@ -51,13 +51,17 @@ class SVector:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.entries) < 1:
+        try:  # no rounding: 2.7, nan, inf and "3" are refused, not truncated
+            entries = tuple(map(operator.index, self.entries))
+        except TypeError as exc:
+            raise InputError(f"SVector entries must be integers: {exc}") from None
+        if len(entries) < 1:
             raise InputError("SVector needs at least one entry")
-        if self.entries[0] != 1:
-            raise InputError(f"s_0 must be 1, got {self.entries[0]}")
-        if any(e <= 0 for e in self.entries):
+        if entries[0] != 1:
+            raise InputError(f"s_0 must be 1, got {entries[0]}")
+        if any(e <= 0 for e in entries):
             raise InputError("all SVector entries must be positive")
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -65,7 +69,7 @@ class SVector:
         return len(self.entries) - 1
 
     def extended(self, value: int) -> "SVector":
-        return SVector(self.entries + (int(value),))
+        return SVector(self.entries + (value,))
 
 
 def check_rank(n: int) -> None:
@@ -246,18 +250,21 @@ def shortest_vector(rows, upper=None):
 
     Returns (minimum, witness) with the witness in ambient coordinates,
     sign-normalized and lexicographically smallest among all minimal
-    vectors.  With `upper` set, the search is pruned at that norm and
-    (upper, None) is returned when no vector of norm < upper exists
-    (a certified "minimum >= upper" verdict); an `upper` above a reduced
-    basis norm cannot certify, so the plain search answers it.  Past
-    `enum_budget()` nodes it raises ResourceBudgetError carrying the
-    Gaussian-heuristic node count of the whole search (at least the
-    nodes already visited).
+    vectors.  The search runs under one limit: the least reduced basis
+    norm, or ceil(upper) - 1 when `upper` is set and at most that norm.
+    In the latter case (upper, None) is returned when no vector of norm
+    < upper exists (a certified "minimum >= upper" verdict); an `upper`
+    above a reduced basis norm cannot certify, so the search answers as
+    without it.  Past `enum_budget()` nodes it raises ResourceBudgetError
+    carrying the Gaussian-heuristic node count of the whole search (at
+    least the nodes already visited).
 
     The tree is half the full one: while every coefficient above level i
     is zero only x_i >= 0 is tried, so each pair +-v is visited once and
     v = 0 never.  Each node carries its exact ambient vector
-    sum_{j>=i} x_j b_j, so a leaf's norm is a sum of n+1 squares.
+    sum_{j>=i} x_j b_j, so a leaf's norm is a sum of n+1 squares.  Only
+    the least (norm, witness) pair found so far is kept, so memory is
+    O(n) however many minimal vectors there are.
     """
     if not rows:
         raise InputError(
@@ -275,21 +282,17 @@ def shortest_vector(rows, upper=None):
     # column i of mu below the diagonal: mu_ji = lam[j][i] / d[i+1], j > i
     mu_col = [[lam[j][i] / d[i + 1] for j in range(i + 1, n)] for i in range(n)]
 
-    best = min(sum(map(operator.mul, r, r)) for r in reduced)
-    if upper is not None and upper <= best:
+    limit = min(sum(map(operator.mul, r, r)) for r in reduced)  # a basis norm
+    if upper is not None and upper <= limit:
         limit = math.ceil(upper) - 1  # largest norm still below upper
-        best = None
-    else:
-        upper = None  # a basis vector lies below upper: nothing to certify
-        limit = best
     bound = limit * _PRUNE_MARGIN
-    witnesses = set()
+    best = None  # least (norm, canonical witness) so far
     x = [0] * n
     nodes = 0
 
     def descend(i, partial, above, zero):
         # above = sum_{j>i} x_j b_j; zero: every x_j above level i is 0
-        nonlocal best, bound, nodes, witnesses
+        nonlocal best, bound, nodes
         center = -sum(map(operator.mul, mu_col[i], x[i + 1:]))
         radius = math.sqrt(max(bound - partial, 0.0) / c[i])
         if zero:  # center is 0: take x_i >= 0, and x_0 > 0 at the leaf
@@ -315,20 +318,14 @@ def shortest_vector(rows, upper=None):
                 descend(i - 1, new_partial, v, zero and not xi)
                 continue
             norm = sum(map(operator.mul, v, v))
-            if upper is not None and norm >= upper:
-                continue
-            if best is None or norm < best:
-                best = norm
-                bound = best * _PRUNE_MARGIN
-                witnesses = {_canonical(tuple(v))}
-            elif norm == best:
-                witnesses.add(_canonical(tuple(v)))
+            if norm <= limit:
+                pair = (norm, _canonical(tuple(v)))
+                if best is None or pair < best:
+                    best, bound = pair, norm * _PRUNE_MARGIN
         x[i] = 0
 
     descend(n - 1, 0.0, [0] * len(reduced[0]), True)
-    if best is None:
-        return upper, None
-    return best, min(witnesses)
+    return best or (upper, None)
 
 
 def log_center_density(n, minimum, det) -> float:

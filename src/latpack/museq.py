@@ -171,13 +171,17 @@ def _dot_hits(rows, e, top, a, b):
                     yield abs(d + shift), row[d]
 
 
+def _first_gap(values, start):
+    """Smallest integer >= start missing from the sorted, distinct `values`."""
+    i = bisect_left(values, start)
+    while i < len(values) and values[i] == start:
+        i, start = i + 1, start + 1
+    return start
+
+
 def greedy_extend(s: SVector, mu: int) -> int:
     """Smallest positive value not forbidden for the next entry."""
-    forbidden = set(forbidden_values(s, mu))
-    t = 1
-    while t in forbidden:
-        t += 1
-    return t
+    return _first_gap(forbidden_values(s, mu), 1)
 
 
 def greedy_sequence(mu: int, dim: int) -> MuSequence:
@@ -283,8 +287,5 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec):
 
 def smallest_unobstructed(report: ObstructionReport, interval: IntervalSpec):
     """Smallest integer of the interval outside the report's union, or None."""
-    blocked = set(report.union)
-    t = math.ceil(interval.lo)
-    while t in blocked:
-        t += 1
+    t = _first_gap(report.union, math.ceil(interval.lo))
     return t if t <= interval.hi else None

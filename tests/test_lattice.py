@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -23,6 +24,14 @@ class TestSVector:
             SVector((1, 0))
         with pytest.raises(InputError):
             SVector((1, -3))
+        # entries are integers, never truncated or converted
+        for bad in (2.7, 2.0, math.nan, math.inf, -math.inf, "3", None):
+            with pytest.raises(InputError, match="must be integers"):
+                SVector((1, bad))
+        with pytest.raises(InputError, match="must be integers"):
+            SVector((1.0, 2))
+        with pytest.raises(InputError, match="must be integers"):
+            SVector((1, 2)).extended(2.7)
 
     def test_dim_and_extend(self):
         s = SVector((1, 2))
@@ -431,6 +440,19 @@ class TestEnumerationOracle:
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "300")
         report = lattice.density_report(SVector((1,) * 11))
         assert report.minimum == 2
+
+    def test_a60_report_keeps_one_witness(self):
+        # A_60 has 1,830 minimal pairs +-v of 61 entries each: keeping them
+        # all peaks near 1.2 MiB, keeping the least one near 170 KiB
+        tracemalloc.start()
+        try:
+            report = lattice.density_report(SVector((1,) * 61))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.minimum == 2
+        assert report.witness == (0,) * 59 + (1, -1)
+        assert peak < 400 * 1024
 
 
 #: The entry ranges of `TestEnumerationOracle`, at ranks 1..14.

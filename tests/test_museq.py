@@ -380,6 +380,29 @@ class TestForbiddenValues:
                 assert museq._pairs_lower_bound(n, mu - 1) <= lattice.DEFAULT_ENUM_BUDGET
 
 
+def set_walk(values, start):
+    """Smallest integer >= start missing from `values`, stepping past a set."""
+    blocked = set(values)
+    while start in blocked:
+        start += 1
+    return start
+
+
+class TestFirstGap:
+    @given(st.sets(st.integers(min_value=-30, max_value=30)),
+           st.integers(min_value=-40, max_value=40))
+    def test_matches_set_walk(self, values, start):
+        values = sorted(values)
+        assert museq._first_gap(values, start) == set_walk(values, start)
+
+    def test_edges(self):
+        assert museq._first_gap([], 1) == 1  # empty list
+        assert museq._first_gap([1, 2, 3], 9) == 9  # start past every value
+        assert museq._first_gap([2, 3, 4], 1) == 1  # gap at the start
+        assert museq._first_gap([1, 2, 3], 1) == 4  # gap past every value
+        assert museq._first_gap([1, 2, 4, 5], 2) == 3
+
+
 class TestGreedy:
     def test_extend_examples(self):
         assert museq.greedy_extend(SVector((1,)), 2) == 1
