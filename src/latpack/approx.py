@@ -29,11 +29,15 @@ class TargetGram:
 
     @classmethod
     def from_matrix(cls, G) -> "TargetGram":
-        """Check G: non-empty, square, finite, symmetric to 1e-12, and SPD."""
+        """Check G: non-empty, square, finite, symmetric to 1e-12, and SPD.
+        A bool entry (JSON `true`) is refused, not read as 1.0."""
         try:
+            boolean = any(isinstance(x, bool) for row in G for x in row)
             finite = all(math.isfinite(x) for row in G for x in row)
         except (TypeError, OverflowError) as exc:
             raise InputError(f"Gram matrix must be rows of real numbers: {exc}") from exc
+        if boolean:
+            raise InputError("Gram matrix entries must be numbers, not booleans")
         if not finite:
             raise InputError("Gram matrix entries must be finite")
         g = [[float(x) for x in row] for row in G]

@@ -217,10 +217,12 @@ def _lhs_hermite(n: int, gamma_prev: float, gamma_cur: float) -> float:
 
 
 def _lifting(evaluate):
-    """Refuse center densities that are not finite and positive, and turn
-    a float overflow or underflow of `evaluate` into InputError."""
+    """Refuse n < 2 and center densities that are not finite and positive,
+    and turn a float overflow or underflow of `evaluate` into InputError."""
     @functools.wraps(evaluate)
     def guarded(n, delta_prev, delta_cur, *args, **kwargs):
+        if n < 2:
+            raise InputError(f"{evaluate.__name__} requires n >= 2, got {n}")
         if not (0.0 < delta_prev < math.inf and 0.0 < delta_cur < math.inf):
             raise InputError("densities must be finite and positive")
         try:

@@ -36,6 +36,7 @@ def _museq_greedy(mu, dim):
 
 
 def _museq_certify(s, mu):
+    museq._check_mu(mu)
     minimum, witness = lattice.shortest_vector(lattice.basis_from_s(SVector(s)), upper=mu)
     certified = witness is None
     return {"certified": certified, "minimum_at_least": mu if certified else None,
@@ -199,10 +200,17 @@ COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1 with one stderr line.  The
+    subparsers are built from the same class (`parser_class`)."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="latpack", description="dense lattices from "
-                                     "orthogonal complements, with exact certification "
-                                     "and density-bound verification")
+    parser = _Parser(prog="latpack", description="dense lattices from orthogonal "
+                     "complements, with exact certification and density-bound verification")
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for command in COMMANDS:
@@ -224,7 +232,8 @@ def _fail(message: str, code: int) -> int:
 
 def run(argv=None) -> int:
     try:
-        # Parsing sits inside the try: a bad `--s` or `--ladder` is exit 1.
+        # Parsing sits inside the try: a usage error, or a bad `--s` or
+        # `--ladder`, is exit 1.
         args = vars(build_parser().parse_args(argv))
         command = args.pop("run_command")
         options = {k: v for k, v in args.items() if k not in ("command", "subcommand")}

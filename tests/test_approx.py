@@ -38,7 +38,7 @@ class TestTargetGram:
     @pytest.mark.parametrize("g", [
         [], 5, [1.0, 2.0], [[1, 2], [3]], [[1.0, "x"], ["x", 1.0]],
         [[float("inf")]], [[float("nan")]], [[1.0, float("nan")], [float("nan"), 1.0]],
-        [[10**400]],
+        [[10**400]], [[True]],
     ])
     def test_rejects_malformed(self, g):
         with pytest.raises(InputError):

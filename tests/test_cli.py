@@ -1,22 +1,172 @@
+"""The CLI contract, in one table of command lines (`RUNS`) run as
+subprocesses, and `cli.run` in process.  Needs the runtime and pytest alone."""
+
 import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+import tempfile
 import textwrap
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
-import latpack
 from latpack import bounds, cli, museq
 from latpack.acceptance import D_TABLE
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and Infinity, which Python's json accepts."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_json(capsys, argv):
     code = cli.run(argv)
-    out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_loads(capsys.readouterr().out)
+
+
+class Run(NamedTuple):
+    """A `latpack` command line, its exit code and timeout in seconds, and
+    `check(outputs or the stderr line, peak RSS in MB)`, which must be true."""
+    argv: str
+    code: int = 0
+    timeout: float = 10
+    env: dict = {}
+    check: Callable = None
+    id: str = None
+
+
+# Runs the CLI under its timeout (exit 124 past it) and writes its peak RSS in KiB to
+# fd.  A process's peak RSS starts from its exec'ing parent's: not pytest's, here.
+_WRAPPER = """import os, resource, subprocess, sys
+fd, timeout, *argv = sys.argv[1:]
+try:
+    code = subprocess.run(argv, timeout=float(timeout)).returncode
+except subprocess.TimeoutExpired:
+    code = 124
+os.write(int(fd), b"%d" % resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(code)"""
+
+
+def run_cli(row, cwd):
+    """Run one row as `python -m latpack.cli`: exit 0 with strict JSON on
+    stdout, or exit 1 or 2 with one stderr line and no traceback."""
+    with tempfile.TemporaryFile() as peak:
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", _WRAPPER, str(peak.fileno()), str(row.timeout),
+             sys.executable, "-m", "latpack.cli", *shlex.split(row.argv)],
+            cwd=cwd, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            pass_fds=(peak.fileno(),),
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **row.env})
+        peak.seek(0)
+        peak_mb = int(peak.read()) / 1024
+    assert done.returncode != 124, f"latpack {row.argv} ran past {row.timeout} s"
+    assert done.returncode == row.code, done.stderr
+    if row.code:
+        assert done.stdout == "" and len(done.stderr.splitlines()) == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        answer = done.stderr
+    else:
+        answer = strict_loads(done.stdout)["outputs"]
+    assert row.check is None or row.check(answer, peak_mb), (answer, peak_mb)
+
+
+def _readme_cli_usage():
+    """The command lines of the README's "CLI usage" block, less `latpack`,
+    and the `gram.json` that follows them."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI usage")[1]
+    commands, gram = re.findall(r"```\n(.*?)```", section.split("\n## ")[0], re.S)
+    return [line.removeprefix("latpack ") for line in commands.splitlines()], gram
+
+
+README_LINES, README_GRAM = _readme_cli_usage()
+
+RUNS = (
+    Run("verify paper", check=lambda out, _: out["failed"] == 1 and [
+        c["name"] for c in out["checks"] if not c["passed"]] == ["derivative at the fixed point"]),
+    # the README's 3x3 gram.json: the grid search takes the generic Gram-Schmidt
+    # pass and --verify certifies Lambda(s) from the closed form
+    Run("approx --gram gram.json --kappa 500 --verify", check=lambda out, _: (
+        out["saturation_det"] == 1 and out["verification"]["kernel_exact"] is True)),
+    # past the Moebius cap: refused; Y_3(1e-100) ~ 5.74e149 answers
+    Run("bounds y --n 2 --x 1e-12", 2, timeout=60),
+    Run("bounds y --n 3 --x 1e-100"),
+    # (5, 24) is admitted by the exact ball count; the norm bounds the obstruction stream
+    Run("museq greedy --mu 5 --dim 24", timeout=30),
+    Run("museq obstructions --s 1,2 --mu 3 --lo 1 --hi 1e300", timeout=30),
+    # (20000, 2) streams a long last layer over a small table; rank 10^6 is
+    # refused by its Gram-Schmidt steps before the first greedy step
+    Run("museq greedy --mu 20000 --dim 2", timeout=30),
+    Run("museq greedy --mu 3 --dim 1000000", 2),
+    # 844 ones, the largest rank check_rank admits by default: LLL starts from
+    # the closed-form Gram-Schmidt data, so no O(n^3) pass runs
+    Run(f"museq certify --s {'1,' * 843}1 --mu 2", id="museq certify --s <844 ones> --mu 2",
+        check=lambda out, _: out["certified"] is True),
+    # each pair +-v is enumerated once: 229 nodes, where the whole tree takes 450
+    Run(f"lattice report --s {'1,' * 10}1", env={"LATPACK_ENUM_BUDGET": "300"},
+        check=lambda out, _: out["minimum"] == 2),
+    # A_150 has 11,325 minimal pairs +-v; the enumeration keeps only the least
+    # (norm, witness): about 17 MB peak RSS, where keeping them all took 31 MB
+    Run(f"lattice report --s {'1,' * 150}1", timeout=30, id="lattice report --s <151 ones>",
+        check=lambda out, peak_mb: (out["minimum"] == 2 and out["witness"][-2:] == [1, -1]
+                                    and peak_mb < 24)),
+    Run("bounds y --n 2 --x -1", 1),
+    Run("bounds cn --n 3 --x 0", 1),
+    Run("bounds f --n 2 --x 1 --y nan", 1),
+    Run("bounds f --n 2 --x inf --y 1", 1),
+    Run("bounds mordell --n 3 --gamma inf", 1),
+    Run("bounds mordell --n 3 --gamma 1e308", 1),
+    # past the Moebius cap: refused before the first term, not after 1e6
+    Run("bounds y --n 2 --x 1e-300", 2),
+    Run("bounds cn --n 2 --x 1e-300", 2),
+    Run("bounds theorem1 --n 3 --delta-prev 1e-10 --delta 1", 2),
+    Run("bounds f --n 2 --x 1 --y 1e300", 2),
+    Run("bounds theorem1 --n 3 --delta-prev 1e-300 --delta 1e300", 2),  # h underflows
+    Run("theta fit --ladder 1,2,x", 1),
+    Run("bounds f --n 3 --x 1e300 --y 1e10", 1),  # F overflows a float
+    Run("bounds cn --n 3 --x 1e300", 1),  # F_3 at x/100 overflows
+    Run("bounds y --n 25 --x 1e-30", 1),  # Y_25 lies past float range
+    # 2^(n-1) overflows, or V_n underflows to 0
+    *(Run(f"bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form {form}", 1)
+      for form in ("center", "hermite", "density")),
+    # reduced-basis Gram-Schmidt norms past float range
+    Run(f"lattice report --s 1,{10**200},{10**400}", 1, id="huge-entries"),
+    # usage errors are input errors
+    Run("", 1, id="no arguments"),
+    Run("bounds", 1),
+    Run("bounds f --n x --x 1 --y 1", 1),
+    Run("bounds theorem1 --n 2 --delta-prev 0.5 --delta 0.2886751 --form bogus", 1),
+    Run("lattice report --bogus 1", 1),
+    Run("museq certify --s 1,2 --mu 0", 1),
+    Run("museq certify --s 1,2 --mu -5", 1),
+    Run("bounds theorem1 --n 1 --delta-prev 0.5 --delta 0.5", 1,
+        check=lambda err, _: "check_theorem1 requires n >= 2, got 1" in err),
+    Run("approx --gram bool.json --kappa 10", 1),  # {"gram": [[true]]}
+)
+RUNS += tuple(Run(line) for line in README_LINES if line not in {row.argv for row in RUNS})
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """The directory the rows run in: the README's gram.json, and a bool one."""
+    path = tmp_path_factory.mktemp("cli")
+    (path / "gram.json").write_text(README_GRAM, encoding="utf-8")
+    (path / "bool.json").write_text('{"gram": [[true]]}', encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("row", [pytest.param(r, id=r.id or r.argv) for r in RUNS if not r.code])
+def test_answers_with_strict_json(row, workdir):
+    run_cli(row, workdir)
 
 
 class TestEnvelope:
@@ -239,7 +389,7 @@ class TestExitCodes:
         assert err.count("\n") == 2 and "Traceback" not in err
         # a basis vector of norm 5 lies below mu: the exact verdict, exit 0
         assert cli.run(["museq", "certify", "--s", "1,2", "--mu", huge]) == 0
-        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        outputs = strict_loads(capsys.readouterr().out)["outputs"]
         assert outputs["certified"] is False
         assert outputs["violating_norm"] == 5
         assert outputs["witness"] == [2, -1]
@@ -247,38 +397,9 @@ class TestExitCodes:
     def test_parse_error(self, capsys):
         assert cli.run(["lattice", "report", "--s", "1,x"]) == 1
 
-    @pytest.mark.parametrize("argv,code", [pytest.param(argv, code, id=argv) for argv, code in (
-        ("bounds y --n 2 --x -1", 1),
-        ("bounds cn --n 3 --x 0", 1),
-        ("bounds f --n 2 --x 1 --y nan", 1),
-        ("bounds f --n 2 --x inf --y 1", 1),
-        ("bounds mordell --n 3 --gamma inf", 1),
-        ("bounds mordell --n 3 --gamma 1e308", 1),
-        # past the Moebius cap: refused before the first term, not after 1e6
-        ("bounds y --n 2 --x 1e-300", 2),
-        ("bounds cn --n 2 --x 1e-300", 2),
-        ("bounds theorem1 --n 3 --delta-prev 1e-10 --delta 1", 2),
-        ("bounds f --n 2 --x 1 --y 1e300", 2),
-        ("bounds theorem1 --n 3 --delta-prev 1e-300 --delta 1e300", 2),  # h underflows
-        ("theta fit --ladder 1,2,x", 1),
-        # the final certificate's reduction: refused before the first step
-        ("museq greedy --mu 3 --dim 1000000", 2),
-        ("bounds f --n 3 --x 1e300 --y 1e10", 1),  # F overflows a float
-        ("bounds cn --n 3 --x 1e300", 1),  # F_3 at x/100 overflows
-        ("bounds y --n 25 --x 1e-30", 1),  # Y_25 lies past float range
-        # 2^(n-1) overflows, or V_n underflows to 0
-        ("bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form center", 1),
-        ("bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form hermite", 1),
-        ("bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form density", 1),
-    )] + [
-        # reduced-basis Gram-Schmidt norms past float range
-        pytest.param(f"lattice report --s 1,{10**200},{10**400}", 1, id="huge-entries"),
-    ])
-    def test_refused_with_one_line(self, capsys, argv, code):
-        assert cli.run(argv.split()) == code
-        out, err = capsys.readouterr()
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert out == ""
+    @pytest.mark.parametrize("row", [pytest.param(r, id=r.id or r.argv) for r in RUNS if r.code])
+    def test_refused_with_one_line(self, row, workdir):
+        run_cli(row, workdir)
 
     def test_budget_error(self, capsys, monkeypatch):
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "2")
@@ -318,8 +439,9 @@ class TestExitCodes:
         assert out == "" and "half-ball of squared radius 69999 in dimension 4" in err
 
     def test_unknown_flag_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.run(["lattice", "report", "--bogus", "1"])
+        assert cli.run(["lattice", "report", "--s", "1,2,3", "--bogus", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: latpack: unrecognized arguments: --bogus 1\n"
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +449,7 @@ def verify_paper():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.run(["verify", "paper"])
-    return code, json.loads(out.getvalue())
+    return code, strict_loads(out.getvalue())
 
 
 class TestVerifySweep:
@@ -348,9 +470,11 @@ class TestVerifySweep:
 
 
 def test_runtime_needs_neither_numpy_nor_scipy():
-    """Block both imports, then run every former numpy/scipy call site."""
+    """`import latpack.cli` loads neither; blocked, every former call site runs."""
     code = textwrap.dedent("""
         import sys
+        import latpack.cli
+        assert not {"numpy", "scipy"} & set(sys.modules), sorted(sys.modules)
         sys.modules["numpy"] = sys.modules["scipy"] = None
         from latpack import approx, bounds, thetaflow
         target = approx.TargetGram.from_matrix([[2.0, 1.0], [1.0, 2.0]])
@@ -359,8 +483,7 @@ def test_runtime_needs_neither_numpy_nor_scipy():
         assert bounds.eval_F(9, 2.0, 500.0) > 0.0
         thetaflow.asymptotic_fit(thetaflow.iterate_d(4), (1, 2, 3, 4))
     """)
-    src = os.path.dirname(os.path.dirname(latpack.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

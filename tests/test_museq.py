@@ -437,6 +437,10 @@ class TestGreedy:
             assert step == oracle_extend(s, mu)
             s = s.extended(step)
 
+    def test_certify_refuses_small_mu(self):
+        with pytest.raises(InputError, match="mu must be >= 2, got 1"):
+            museq.certify(SVector((1, 2)), 1)
+
     def test_huge_dimension_refused_up_front(self):
         with pytest.raises(ResourceBudgetError, match="rank 1000000"):
             museq.greedy_sequence(3, 10**6)
