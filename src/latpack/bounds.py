@@ -216,6 +216,10 @@ def _lhs_hermite(n: int, gamma_prev: float, gamma_cur: float) -> float:
     return numth.ball_volume(n - 1) * gamma_prev**p * numth.cap_sum(step, p, n)
 
 
+#: The left side of the lifting inequality on each form's own scale.
+_LHS = {"center": _lhs_center, "density": _lhs_density, "hermite": _lhs_hermite}
+
+
 def _lifting(evaluate):
     """Refuse n < 2 and center densities that are not finite and positive,
     and turn a float overflow or underflow of `evaluate` into InputError."""
@@ -242,21 +246,11 @@ def check_theorem1(n, delta_prev, delta_cur, form="center"):
     Hermite forms are evaluated after algebraic conversion and must
     agree with the center form to high accuracy.
     """
-    if form == "center":
-        return _lhs_center(n, delta_prev, delta_cur) - 1.0
-    if form == "density":
-        return _lhs_density(
-            n,
-            convert("center", "density", delta_prev, n - 1),
-            convert("center", "density", delta_cur, n),
-        ) - 1.0
-    if form == "hermite":
-        return _lhs_hermite(
-            n,
-            convert("center", "hermite", delta_prev, n - 1),
-            convert("center", "hermite", delta_cur, n),
-        ) - 1.0
-    raise InputError(f"unknown form {form!r}")
+    lhs = _LHS.get(form)
+    if lhs is None:
+        raise InputError(f"unknown form {form!r}")
+    return lhs(n, convert("center", form, delta_prev, n - 1),
+               convert("center", form, delta_cur, n)) - 1.0
 
 
 def mordell_upper(n: int, gamma_prev: float) -> float:

@@ -72,12 +72,6 @@ def _lattice_report(s):
     return dict(asdict(report), witness=list(report.witness))
 
 
-def _bounds_f(n, x, y):
-    if y is None:
-        raise InputError("bounds f requires --y")
-    return {"F": bounds.eval_F(n, x, y)}
-
-
 def _bounds_cn(n, x):
     value = bounds.eval_C(n, x)
     return {"C": value,
@@ -165,8 +159,8 @@ COMMANDS = (
     Command("lattice report", "exact minimum, determinant, densities",
             _lattice_report, (_S,),
             {"minimum": "exact", "determinant": "exact", "densities": "float64"}),
-    Command("bounds f", "evaluate F_n(x, y)", _bounds_f,
-            (_N, _X, _opt("--y", type=float)),
+    Command("bounds f", "evaluate F_n(x, y)", lambda n, x, y: {"F": bounds.eval_F(n, x, y)},
+            (_N, _X, _opt("--y", type=float, required=True)),
             {"F": "exact sum below crossover, Euler-Maclaurin above"}),
     Command("bounds y", "implicit inverse Y_n(x)",
             lambda n, x: {"Y": bounds.eval_Y(n, x)}, (_N, _X),

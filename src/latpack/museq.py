@@ -200,8 +200,6 @@ def greedy_sequence(mu: int, dim: int) -> MuSequence:
 def certify(s: SVector, mu: int) -> bool:
     """True iff the orthogonal lattice of s has minimum >= mu (exact SVP)."""
     _check_mu(mu)
-    if s.dim == 0:
-        return True
     _, witness = lattice.shortest_vector(lattice.basis_from_s(s), upper=mu)
     return witness is None
 

@@ -5,7 +5,8 @@ table, the one cap sum behind F_n, the lifting inequality, the majorization
 chain and f_n, unit-ball volumes via log-Gamma (safe up to dimensions in
 the thousands), the ball-point counting bound and the exact counts by
 norm (the theta series coefficients) used to budget the museq ball
-table, and the root solver behind Y_n, psi and f_n.
+table, and the root solver behind Y_n, psi and f_n: one bisection loop
+whose midpoints an Illinois bracket decides wherever it can.
 """
 
 import math
@@ -142,8 +143,8 @@ def theta_coefficients(n: int, mu: int) -> list[int]:
 
 
 #: F_n's Euler-Maclaurin path is nondecreasing only to a few ulps (up to
-#: 4 seen near Y_n's root): the bisection replay calls f on the midpoints
-#: this close to the Illinois bracket instead of deciding them.
+#: 4 seen near Y_n's root): the bisection calls f on the midpoints this
+#: close to the Illinois bracket instead of deciding them.
 _NOISE_ULPS = 16
 
 
@@ -153,73 +154,68 @@ def bisect_increasing(f, target, lo, hi, rtol, what) -> float:
     hi - lo <= rtol * max(1, hi) or float spacing; returns the midpoint,
     the float plain bisection returns.
 
-    The bisection is replayed, not run.  Illinois steps (regula falsi with
-    the Illinois modification, Dowell & Jarratt 1971) first narrow a
-    bracket a < b with f(a) < target <= f(b) to the bisection's final
-    width; the replay then decides every midpoint outside (a, b) by
-    monotonicity and calls f only inside it, or within `_NOISE_ULPS` ulps
-    of it, and never twice at one point.  Every point lies in the doubled
-    [lo, hi], and f(lo) is never called.
+    One loop is that bisection.  A bracket a < b with
+    f(a) < target <= f(b) decides, without a call, each midpoint more
+    than `_NOISE_ULPS` ulps outside [a, b].  A midpoint inside (a, b) first
+    narrows the bracket by Illinois steps (regula falsi with the Illinois
+    modification, Dowell & Jarratt 1971) for as long as each cycle of
+    three halves it; then f is called at the midpoint.  Every point lies
+    in the doubled [lo, hi], f(lo) is never called, and f is never called
+    twice at one point.
     """
-    known = {}  # f at the points called so far
-    # a is the last hi with f(hi) < target; g = f - target at a and b.  An
-    # unknown f(a) is -inf: the secant point is then NaN, so the first
-    # steps bisect, on the replay's own midpoints, until f(a) is known.
+    known = {}  # g = f - target at the points called so far
+    # a is the last hi with f(hi) < target.  An unknown g(a) is -inf: the
+    # secant point is then NaN, so f is called at midpoints until it is known.
     a, ga = lo, -math.inf
-    fb = known[hi] = f(hi)
+    gb = known[hi] = f(hi) - target
     doublings = 0
-    while fb < target:
-        a, ga = hi, fb - target
+    while gb < 0:
+        a, ga = hi, gb
         hi *= 2.0
         doublings += 1
         if doublings > 200:  # 2^200 times any start still fits a double
             raise InputError(f"{what} bracket expansion failed to converge")
-        fb = known[hi] = f(hi)
-    b, gb = hi, fb - target
+        gb = known[hi] = f(hi) - target
+    b, margin = hi, _NOISE_ULPS * math.ulp(hi)
     side, widths = 0, [math.inf] * 3
-    while True:
-        width, x = b - a, 0.5 * (a + b)
-        stop = rtol * (b if b > 1.0 else 1.0)
-        if width <= stop or x <= a or x >= b:
-            break
-        # An Illinois cycle is at most three steps; one that has not
-        # halved the bracket is followed by a bisection step.
-        if width <= 0.5 * widths[-3]:
-            # the secant point, kept half a stop width (or an ulp) inside
-            # the bracket, so that a root next to b or a closes it
-            step = max(0.5 * stop, math.ulp(b))
-            s = min(max(a + width * (ga / (ga - gb)), a + step), b - step)
-            if a < s < b:  # False for NaN
-                x = s
-        widths.append(width)
-        fx = known[x] = f(x)
-        if fx < target:
-            a, ga = x, fx - target
-            if side < 0:  # a moved twice running: halve g(b)
-                gb *= 0.5
-            side = -1
-        else:
-            b, gb = x, fx - target
-            if side > 0:
-                ga *= 0.5
-            side = 1
-    margin = _NOISE_ULPS * math.ulp(b)
-    a, b = a - margin, b + margin
     # max(1, hi) without a call: this loop runs about 44 times a solve
     while hi - lo > rtol * (hi if hi > 1.0 else 1.0):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if mid <= a:
+        if mid <= a - margin:
             lo = mid
-        elif mid >= b:
+            continue
+        if mid >= b + margin:
             hi = mid
-        else:
-            fm = known.get(mid)
-            if fm is None:
-                fm = f(mid)
-            if fm < target:
-                lo = mid
+            continue
+        # An Illinois cycle is at most three steps; one that has not
+        # halved the bracket is followed by a call at the midpoint.
+        x, width = mid, b - a
+        if a < mid < b and width <= 0.5 * widths[-3]:
+            # the secant point, kept half a stop width (or an ulp) inside
+            # the bracket, so that a root next to b or a closes it
+            step = max(0.5 * rtol * (b if b > 1.0 else 1.0), math.ulp(b))
+            s = min(max(a + width * (ga / (ga - gb)), a + step), b - step)
+            if a < s < b:  # False for NaN
+                x = s
+        gx = known.get(x)
+        if gx is None:
+            gx = known[x] = f(x) - target
+        if x == mid and gx < 0:
+            lo = mid
+        elif x == mid:
+            hi = mid
+        if a < x < b:
+            widths.append(width)
+            if gx < 0:
+                a, ga = x, gx
+                if side < 0:  # a moved twice running: halve g(b)
+                    gb *= 0.5
+                side = -1
             else:
-                hi = mid
+                b, gb, margin = x, gx, _NOISE_ULPS * math.ulp(x)
+                if side > 0:
+                    ga *= 0.5
+                side = 1
     return 0.5 * (lo + hi)

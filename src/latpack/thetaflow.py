@@ -5,9 +5,9 @@ function minus 1/2; psi is its inverse, Omega(x) = x psi(1/x) the
 transfer map with attracting fixed point xi = 1/tau(1), and the d_n
 recursion follows the per-dimension implicit maps f_n whose limit is
 Omega.  tau and tau' share one series, and psi and f_n one root solver,
-`numth.bisect_increasing`: Illinois steps narrow a bracket, and the
-bisection replayed through it returns plain bisection's float from
-about a third of the tau and cap-sum calls.  f_n's left side is
+`numth.bisect_increasing`: a bisection whose midpoints an Illinois
+bracket decides, so it returns plain bisection's float from about a
+third of the tau and cap-sum calls.  f_n's left side is
 `numth.cap_sum`, whose log1p power terms make dimension 1024 routine.
 """
 

@@ -234,6 +234,13 @@ class TestTheorem1:
         with pytest.raises(InputError):
             bounds.check_theorem1(3, 0.1, 0.1, form="other")
 
+    def test_unknown_form_refused_before_conversion(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bounds, "convert", lambda *args: calls.append(args))
+        with pytest.raises(InputError, match="unknown form 'bogus'"):
+            bounds.check_theorem1(2, self.DELTA1, self.DELTA2, form="bogus")
+        assert calls == []
+
 
 class TestMordell:
     def test_examples(self):

@@ -144,6 +144,8 @@ RUNS = (
     Run("", 1, id="no arguments"),
     Run("bounds", 1),
     Run("bounds f --n x --x 1 --y 1", 1),
+    Run("bounds f --n 2 --x 1", 1,
+        check=lambda err, _: "the following arguments are required: --y" in err),
     Run("bounds theorem1 --n 2 --delta-prev 0.5 --delta 0.2886751 --form bogus", 1),
     Run("lattice report --bogus 1", 1),
     Run("museq certify --s 1,2 --mu 0", 1),

@@ -441,6 +441,11 @@ class TestGreedy:
         with pytest.raises(InputError, match="mu must be >= 2, got 1"):
             museq.certify(SVector((1, 2)), 1)
 
+    def test_certify_refuses_an_empty_basis(self):
+        # s = (1,) has no orthogonal lattice; the CLI and density_report refuse it
+        with pytest.raises(InputError, match="the basis is empty"):
+            museq.certify(SVector((1,)), 3)
+
     def test_huge_dimension_refused_up_front(self):
         with pytest.raises(ResourceBudgetError, match="rank 1000000"):
             museq.greedy_sequence(3, 10**6)

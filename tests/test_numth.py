@@ -251,6 +251,24 @@ class TestBisectIncreasing:
         assert 0.25 not in calls and len(calls) == len(set(calls))
 
     @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.3, 1e3), st.sampled_from([0.0, 1e-13, 1e-12]))
+    def test_never_calls_f_at_lo_or_twice_at_a_point_on_noisy_f(self, root, rtol):
+        # y^3 off by a deterministic noise of up to 4 ulps, inside _NOISE_ULPS:
+        # the midpoints next to the bracket are called, and some were called
+        # before as bracket points
+        calls = []
+
+        def f(y):
+            calls.append(y)
+            v = y**3
+            return v + (hash(y) % 9 - 4) * math.ulp(v)
+
+        target = root**3
+        y = numth.bisect_increasing(f, target, 0.25, 0.5, rtol, "noisy")
+        assert 0.25 not in calls and len(calls) == len(set(calls))
+        assert y == plain_bisect(f, target, 0.25, 0.5, rtol, "noisy")
+
+    @settings(max_examples=100, deadline=None)
     @given(st.floats(-30.0, 3.0))
     def test_psi_matches_plain_bisection(self, log_t):
         t = 10.0**log_t
