@@ -146,10 +146,10 @@ def verify_approximation(target: TargetGram, result: ApproximationResult):
         sum(bi * vi for bi, vi in zip(row, result.v)) == 0 for row in result.B
     )
     n = target.n
+    # The target's minimum is searched on a 1e-6 grid, so its center density
+    # is approximate; the integer lattice's comes from its exact minimum,
+    # where SVP is affordable.  The two are reported side by side.
     target_min = _float_gram_minimum(target.L)
-    # Rayleigh-style exact minimum of the target is not available in
-    # general; use the exact minimum of the integer lattice instead and
-    # rescale, comparing center densities.
     lattice_delta = None
     if n <= _SVP_DIM_CAP and result.kappa <= _SVP_KAPPA_CAP and all(
         e > 0 for e in result.s[1:]

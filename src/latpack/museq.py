@@ -237,20 +237,25 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec):
     |x|^2 < mu - k^2 and <x, s> = k t; X_k(j) are the witnesses by
     residue of <x, s> mod k.  The primitive count (gcd(k, *x) = 1) is the
     Moebius inversion over the squarefree h | k of the witnesses x = h x'.
+    The cutoff is A = floor(sqrt(mu |s|^2) / hi).  A and each k's range of
+    dots [k lo, k hi] are decided in integers, from the exact ratios of lo
+    and hi.
     """
     rows = {m: (sorted(row), row) for m, row in _ball_table(s, mu).items()}
-    n, e, lo, hi = len(s.entries), s.entries[-1], interval.lo, interval.hi
-    vmax = math.isqrt((mu - 2) * sum(x * x for x in s.entries))
+    e = s.entries[-1]
+    (lp, lq), (hp, hq) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
+    det = lattice.determinant(s)  # |s|^2
+    vmax = math.isqrt((mu - 2) * det)
     ks = range(1, math.isqrt(mu - 1) + 1)
     obstructed, witness_counts, residue_counts = {}, {}, {}
     for k in ks:
-        # integer dots in [k lo, k hi]; vmax >= |<z, s>| caps both, which may be inf
+        # integer dots in [k lo, k hi], capped by vmax >= |<z, s>|
         top = mu - 1 - k * k
-        a, b = math.ceil(min(k * lo, vmax + 1)), math.floor(min(k * hi, vmax))
+        a, b = min(-(-k * lp // lq), vmax + 1), min(k * hp // hq, vmax)
         counts, ik = [0] * k, set()
         for v, c in _dot_hits(rows, e, top, a, b):
             counts[v % k] += c
-            if v % k == 0 and lo <= v // k <= hi:
+            if v % k == 0:
                 ik.add(v // k)
         primitive = counts[0]
         for h in range(2, k + 1):
@@ -261,21 +266,9 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec):
         witness_counts[k] = (counts[0] // 2, primitive // 2)
         residue_counts[k] = [c // 2 for c in counts]
     union = sorted(set().union(*obstructed.values()))
-    # Asymptotic cutoff reported for comparison with the exact k range.
-    prev_dim = n - 1
-    log_delta = (
-        lattice.log_center_density(prev_dim, mu, lattice.determinant(s))
-        + numth.log_ball_volume(prev_dim)
-    )
-    a_value = math.exp(
-        (1 - n) * math.log(2.0)
-        + numth.log_ball_volume(prev_dim)
-        - numth.log_ball_volume(n)
-        - log_delta
-    ) / interval.sigma
     return ObstructionReport(
         k_max=len(ks),
-        A=math.floor(a_value),
+        A=math.isqrt(mu * det * hq * hq) // hp,
         obstructed=obstructed,
         witness_counts=witness_counts,
         residue_counts=residue_counts,

@@ -103,6 +103,9 @@ RUNS = (
     # (5, 24) is admitted by the exact ball count; the norm bounds the obstruction stream
     Run("museq greedy --mu 5 --dim 24", timeout=30),
     Run("museq obstructions --s 1,2 --mu 3 --lo 1 --hi 1e300", timeout=30),
+    # mu |s|^2 = 900 = 30^2: the cutoff is decided in integers, not one below
+    Run("museq obstructions --s 1,3,7,4 --mu 12 --lo 1 --hi 1",
+        check=lambda out, _: out["A"] == 30),
     # (20000, 2) streams a long last layer over a small table; rank 10^6 is
     # refused by its Gram-Schmidt steps before the first greedy step
     Run("museq greedy --mu 20000 --dim 2", timeout=30),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,25 +59,23 @@ def oracle_forbidden_values(s, mu):
 
 
 def oracle_cutoff(s, mu, interval):
-    """The report's asymptotic cutoff A."""
-    prev_dim = len(s.entries) - 1
-    log_delta = (
-        lattice.log_center_density(prev_dim, mu, lattice.determinant(s))
-        + numth.log_ball_volume(prev_dim)
-    )
-    a_value = math.exp(
-        -prev_dim * math.log(2.0)
-        + numth.log_ball_volume(prev_dim)
-        - numth.log_ball_volume(prev_dim + 1)
-        - log_delta
-    ) / interval.sigma
-    return math.floor(a_value)
+    """The report's cutoff: the largest A with (A hi)^2 <= mu |s|^2, in
+    Fraction, by doubling and then bisecting."""
+    bound, hi = mu * sum(e * e for e in s.entries), Fraction(interval.hi)
+    low, high = 0, 1
+    while (high * hi) ** 2 <= bound:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if (mid * hi) ** 2 <= bound else (low, mid)
+    return low
 
 
 def oracle_interval_obstructions(s, mu, interval):
     """The obstruction report from a fresh walk of the full ball per k."""
     n = len(s.entries)
     k_max = math.isqrt(mu - 1)
+    lo, hi = Fraction(interval.lo), Fraction(interval.hi)
     obstructed = {}
     witness_counts = {}
     residue_counts = {}
@@ -88,12 +87,12 @@ def oracle_interval_obstructions(s, mu, interval):
         primitive = 0
         for x in oracle_ball_points(n, cutoff):
             dot = sum(xi * e for xi, e in zip(x, s.entries))
-            if not (k * interval.lo <= dot <= k * interval.hi):
+            if not (k * lo <= dot <= k * hi):
                 continue
             counts[dot % k] += 1
             if dot % k == 0:
                 t = dot // k
-                if interval.lo <= t <= interval.hi:
+                if lo <= t <= hi:
                     ik.add(t)
                 content = 0
                 for xi in x:
@@ -157,7 +156,7 @@ def walk_interval_obstructions(s, mu, interval):
     obstructed = {k: set() for k in ks}
     residue_counts = {k: [0] * k for k in ks}
     primitive = dict.fromkeys(ks, 0)
-    lo, hi = interval.lo, interval.hi
+    lo, hi = Fraction(interval.lo), Fraction(interval.hi)
     # lo > 0, so of z and -z only the one with <., s> = |<z, s>| can lie
     # in [k lo, k hi]; the canonical z stands for it (same norm, same gcd).
     for norm, dot, z in _half_ball(s, mu):
@@ -191,13 +190,21 @@ def check_against_walk(s, mu, interval):
     assert report == walk_interval_obstructions(s, mu, interval)
 
 
+def interval_ends(top):
+    """An end of [lo, hi] up to about top: an integer, a float, or the float
+    next to a ratio j/k, which puts k lo or k hi one ulp off an integer."""
+    near_ratio = st.builds(lambda j, k, to: math.nextafter(j / k, to), st.integers(1, top),
+                           st.integers(1, 7), st.sampled_from((-math.inf, math.inf)))
+    return st.one_of(st.integers(1, top), st.floats(1e-3, float(top)), near_ratio)
+
+
 @st.composite
 def obstruction_cases(draw):
     """(s, mu, interval): n <= 5, entries <= 60, mu <= 14, 0 < lo <= hi."""
     tail = draw(st.lists(st.integers(1, 60), max_size=4))
     s = SVector((1,) + tuple(tail))
     mu = draw(st.integers(2, 14))
-    bound = st.one_of(st.integers(1, 80), st.floats(1e-3, 80.0))
+    bound = interval_ends(80)
     lo, hi = sorted((draw(bound), draw(bound)))
     return s, mu, museq.IntervalSpec.from_bounds(lo, hi, mu, len(s.entries))
 
@@ -209,7 +216,7 @@ def wide_mu_cases(draw):
     tail = draw(st.lists(st.integers(1, 60), max_size=2))
     s = SVector((1,) + tuple(tail))
     mu = draw(st.integers(2, 50))
-    bound = st.one_of(st.integers(1, 200), st.floats(1e-3, 200.0))
+    bound = interval_ends(200)
     lo, hi = sorted((draw(bound), draw(bound)))
     return s, mu, museq.IntervalSpec.from_bounds(lo, hi, mu, len(s.entries))
 
@@ -274,7 +281,7 @@ class TestTableMatchesWalk:
                                           (50, 1, 1.7e308)])
     def test_composite_k(self, mu, lo, hi):
         # k = 4 and k = 6 are reached, the gcd drops some witnesses of X_k(0),
-        # and k hi may overflow to inf
+        # and k hi may lie past float range
         s = SVector((1, 2, 5))
         interval = museq.IntervalSpec.from_bounds(lo, hi, mu, 3)
         check_against_walk(s, mu, interval)
@@ -282,7 +289,8 @@ class TestTableMatchesWalk:
         assert any(p < x for x, p in counts.values())
 
     def test_k_lo_overflows(self):
-        # 2 lo = inf: every k >= 2 has no dots, as in the walk, and no traceback
+        # 2 lo lies past float range, and past vmax: every k >= 2 has no dots,
+        # as in the walk, and no traceback
         interval = museq.IntervalSpec.from_bounds(1e308, 1.5e308, 50, 3)
         check_against_walk(SVector((1, 2, 5)), 50, interval)
 
@@ -532,6 +540,18 @@ class TestObstructions:
         assert smallest(1.0, 2.0) is None
         # the interval's integers are walked lazily, never listed
         assert smallest(1.0, 1e300) == 3
+
+    def test_cutoff_at_a_perfect_square(self):
+        # mu |s|^2 = 12 * 75 = 900 = 30^2, so A = sqrt(900) / 1 exactly
+        interval = museq.IntervalSpec.from_bounds(1, 1, 12, 4)
+        assert museq.interval_obstructions(SVector((1, 3, 7, 4)), 12, interval).A == 30
+
+    def test_lo_one_ulp_above_a_third(self):
+        # 3 lo > 1 exactly, so the dot 1 is not in [3 lo, 3 hi]
+        lo = math.nextafter(1 / 3, math.inf)
+        interval = museq.IntervalSpec.from_bounds(lo, 1, 14, 2)
+        report = museq.interval_obstructions(SVector((1, 2)), 14, interval)
+        assert report.residue_counts[3] == [1, 0, 2]
 
     @pytest.mark.parametrize("mu", [3, 4, 5, 6])
     def test_membership_matches_svp(self, mu):
