@@ -93,23 +93,16 @@ def approximate(target: TargetGram, kappa: float) -> ApproximationResult:
     if not (kappa >= 1 and math.isfinite(kappa * l_max)):
         raise InputError(f"kappa must be >= 1 with kappa * L finite, got {kappa}")
     n = target.n
-    l_tilde = [
-        [int(round(kappa * target.L[i][j])) for j in range(n)]  # half to even
-        for i in range(n)
-    ]
-    b = []
-    for i in range(n):
-        row = [l_tilde[i][j] if j <= i else 0 for j in range(n)]
-        row.insert(i + 1, 1)
-        row = row[: n + 1]
-        b.append(row)
-    # Exact integer back-substitution: row i gives v[i+1].
-    v = [1]
-    for i in range(n):
-        v.append(-sum(b[i][j] * v[j] for j in range(i + 1)))
+    # L is zero above its diagonal, so row i of B is round(kappa L_i0..L_ii),
+    # 1, then zeros, and row i fixes v[i+1] by exact back-substitution.
+    b, v = [], [1]
+    for i, row in enumerate(target.L):
+        head = [int(round(kappa * x)) for x in row[: i + 1]]  # half to even
+        b.append(tuple(head + [1] + [0] * (n - 1 - i)))
+        v.append(-sum(x * y for x, y in zip(head, v)))
     return ApproximationResult(
         kappa=kappa,
-        B=tuple(tuple(row) for row in b),
+        B=tuple(b),
         v=tuple(v),
         s=tuple(abs(x) for x in v),
         gram_error=_gram_error(b, kappa, target.G),
@@ -151,9 +144,7 @@ def verify_approximation(target: TargetGram, result: ApproximationResult):
     # where SVP is affordable.  The two are reported side by side.
     target_min = _float_gram_minimum(target.L)
     lattice_delta = None
-    if n <= _SVP_DIM_CAP and result.kappa <= _SVP_KAPPA_CAP and all(
-        e > 0 for e in result.s[1:]
-    ) and result.s[0] == 1:
+    if n <= _SVP_DIM_CAP and result.kappa <= _SVP_KAPPA_CAP and all(result.s):
         lattice_delta = density_report(SVector(result.s)).center_density
     det = math.prod(target.L[i][i] for i in range(n)) ** 2
     target_delta = math.exp(log_center_density(n, target_min, det))

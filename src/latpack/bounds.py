@@ -108,8 +108,13 @@ def eval_Y(n: int, x: float) -> float:
     integral y x^(n/2) V_n / (2 V_{n-1}), and the root is at least
     2 / (V_n x^(n/2)): the bracket starts there, and a root whose lower
     bound is past float range is refused before the first evaluation.
-    At n = 2, where every term is summed one by one, `numth.cap_sum`
-    refuses a bracket past its term cap before the first term.
+
+    At n = 2 every term is summed one by one, so a root past the term cap
+    K_max is refused before the first sum.  sum_{k <= t} phi(k)/k <=
+    6t/pi^2 + ln t + 3, and partial summation over the decreasing
+    (x - k^2/y^2)^(1/2) gives F_2(x, y) <= 3xy/(2 pi) + (ln K + 3) sqrt(x)
+    over K terms; so a root with K <= K_max needs more than
+    (pi / (3 sqrt(x))) (1 - 2 (ln K_max + 3) sqrt(x)) - 1 terms.
     """
     _check_nx("eval_Y", n, x)
     try:
@@ -118,6 +123,10 @@ def eval_Y(n: int, x: float) -> float:
     except OverflowError as exc:
         raise InputError(f"Y_{n}({x}) lies past float range") from exc
     lo = 1.0 / math.sqrt(x)
+    if n == 2:
+        r = math.sqrt(x)
+        slack = 2.0 * (math.log(numth._MOBIUS_CAP) + 3.0) * r
+        numth.check_mobius_terms(math.pi / (3.0 * r) * (1.0 - slack) - 1.0, f"Y_2({x})")
     return numth.bisect_increasing(
         lambda y: eval_F(n, x, y), 1.0 / numth.ball_volume(n - 1),
         lo, max(2.0 * lo, 1.0, est), rtol=0.0, what="eval_Y",

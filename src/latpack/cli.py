@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from typing import Callable, NamedTuple
 
 from . import __version__, approx, bounds, lattice, museq, thetaflow
@@ -32,7 +32,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _museq_greedy(mu, dim):
     seq = museq.greedy_sequence(mu, dim)
-    return {"s": list(seq.s.entries), "certified": seq.certified}
+    return {"s": seq.s.entries, "certified": seq.certified}
 
 
 def _museq_certify(s, mu):
@@ -41,7 +41,7 @@ def _museq_certify(s, mu):
     certified = witness is None
     return {"certified": certified, "minimum_at_least": mu if certified else None,
             "violating_norm": None if certified else minimum,
-            "witness": None if certified else list(witness)}
+            "witness": witness}
 
 
 def _museq_obstructions(s, mu, lo, hi):
@@ -68,8 +68,7 @@ def _museq_obstructions(s, mu, lo, hi):
 
 
 def _lattice_report(s):
-    report = lattice.density_report(SVector(s))
-    return dict(asdict(report), witness=list(report.witness))
+    return asdict(lattice.density_report(SVector(s)))
 
 
 def _bounds_cn(n, x):
@@ -86,18 +85,16 @@ def _bounds_theorem1(n, delta_prev, delta, form):
 def _theta_table(max_n, csv):
     trace = thetaflow.iterate_d(max_n)
     if csv:
-        fields = ("n", "d", "omega_iterate", "scaled_diff", "A")
-        lines = [fields] + [[getattr(row, f) for f in fields] for row in trace.rows]
+        lines = ([f.name for f in fields(thetaflow.FlowRow)], *map(astuple, trace.rows))
         sys.stdout.write("".join(",".join(map(str, v)) + "\r\n" for v in lines))
         return None
-    return {"rows": [asdict(row) for row in trace.rows], "xi": trace.xi,
-            "xi_derivative": trace.xi_derivative}
+    return asdict(trace)
 
 
 def _theta_fit(ladder):
     trace = thetaflow.iterate_d(max(ladder))
     fit = thetaflow.asymptotic_fit(trace, ladder)
-    return {"c0": fit.c0, "c1": fit.c1, "c2": fit.c2, "c3": fit.c3, "xi": trace.xi}
+    return dict(asdict(fit), xi=trace.xi)
 
 
 def _approx(gram, kappa, verify):
@@ -112,9 +109,7 @@ def _approx(gram, kappa, verify):
     if "n" in data and target.n != data["n"]:
         raise InputError("gram file 'n' does not match the matrix size")
     result = approx.approximate(target, kappa)
-    payload = {"kappa": result.kappa, "B": [list(row) for row in result.B],
-               "v": list(result.v), "s": list(result.s), "gram_error": result.gram_error,
-               "saturation_det": approx.saturation_determinant(result)}
+    payload = dict(asdict(result), saturation_det=approx.saturation_determinant(result))
     if verify:
         payload["verification"] = asdict(approx.verify_approximation(target, result))
     return payload

@@ -58,16 +58,14 @@ class IntervalSpec:
 
     @classmethod
     def from_bounds(cls, lo, hi, mu, n):
-        """Raw [lo, hi] interval; sigmas are back-solved for reporting."""
+        """Raw [lo, hi] interval; sigmas are back-solved for reporting, and
+        refused past float range (sigma_tilde <= sigma)."""
         _check_interval(lo, hi)
         scale = _scale(mu, n)
-        return cls(
-            lo=lo,
-            hi=hi,
-            sigma=hi / scale,
-            sigma_tilde=lo / scale,
-            epsilon=hi / lo - 1.0,
-        )
+        sigma = hi / scale if scale else math.inf  # scale underflows to 0.0
+        if not math.isfinite(sigma):
+            raise InputError(f"sigma = hi / (mu^(n/2) V_n) lies past float range (n = {n})")
+        return cls(lo=lo, hi=hi, sigma=sigma, sigma_tilde=lo / scale, epsilon=hi / lo - 1.0)
 
     def integers(self) -> list[int]:
         return list(range(math.ceil(self.lo), math.floor(self.hi) + 1))

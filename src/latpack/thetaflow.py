@@ -144,18 +144,14 @@ def iterate_d(max_n: int) -> FlowTrace:
     d = 2.0
     w = 2.0
     settled = False  # omega(w) == w: every later iterate is w as well
-    prev_d = None
+    a_n = 0
     for n in range(1, max_n + 1):
         if n > 1:
-            prev_d = d
-            d = f_step(n - 1, d)
+            prev_d, d = d, f_step(n - 1, d)
             if not settled:
                 next_w = omega(w)
                 settled = next_w == w
                 w = next_w
-        if prev_d is None:
-            a_n = 0
-        else:
             a_n = math.floor(
                 d * math.exp(numth.log_ball_volume(n - 1) - numth.log_ball_volume(n))
                 / prev_d

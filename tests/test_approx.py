@@ -57,7 +57,32 @@ class TestTargetGram:
         assert np.allclose(L @ L.T, np.array(A2))
 
 
+def plain_approximate(target, kappa):
+    """The former construction: round all of kappa L, insert the unit
+    superdiagonal, truncate to n + 1 columns, then back-substitute v."""
+    n = target.n
+    l_tilde = [[int(round(kappa * target.L[i][j])) for j in range(n)] for i in range(n)]
+    b = []
+    for i in range(n):
+        row = [l_tilde[i][j] if j <= i else 0 for j in range(n)]
+        row.insert(i + 1, 1)
+        b.append(row[: n + 1])
+    v = [1]
+    for i in range(n):
+        v.append(-sum(b[i][j] * v[j] for j in range(i + 1)))
+    return (tuple(map(tuple, b)), tuple(v), tuple(map(abs, v)),
+            approx._gram_error(b, kappa, target.G))
+
+
 class TestApproximate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32), st.floats(1.0, 1e6))
+    def test_one_pass_matches_plain_construction(self, n, seed, kappa):
+        target = approx.TargetGram.from_matrix(random_spd(n, seed))
+        result = approx.approximate(target, kappa)
+        assert (result.B, result.v, result.s, result.gram_error) == plain_approximate(
+            target, kappa)
+
     def test_identity_kappa_100(self):
         target = approx.TargetGram.from_matrix(I2)
         result = approx.approximate(target, 100.0)

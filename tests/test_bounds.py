@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 
 from latpack import bounds, numth
-from latpack.errors import InputError
+from latpack.errors import InputError, ResourceBudgetError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -103,6 +103,28 @@ class TestEvalY:
         x = 1e-40
         expected = 2.0 * special.zeta(5.0) / (numth.ball_volume(5) * x**2.5)
         assert bounds.eval_Y(5, x) == pytest.approx(expected, rel=1e-12)
+
+    def test_n2_refused_before_the_first_sum(self, monkeypatch):
+        """Y_2(1e-12) needs over 10^6 terms: refused from the upper bound on
+        F_2 before any Moebius weight is computed."""
+        def weight(k, n):
+            raise AssertionError(f"weight {k} computed")
+
+        monkeypatch.setattr(numth, "mobius_weight", weight)
+        with pytest.raises(ResourceBudgetError, match=r"Y_2\(1e-12\) needs 1.05e\+06 terms"):
+            bounds.eval_Y(2, 1e-12)
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-6, 1e-4, 1e-2])
+    def test_n2_term_bound_is_below_the_root(self, monkeypatch, x):
+        """The refusal's lower bound on the root's term count floor(sqrt(x) Y_2(x))
+        holds, within the 2 (ln 10^6 + 3) pi / 3 ~ 35 terms that its error
+        term costs."""
+        bound = []
+        check = numth.check_mobius_terms
+        monkeypatch.setattr(numth, "check_mobius_terms",
+                            lambda terms, what: bound.append(terms) or check(terms, what))
+        terms = math.floor(math.sqrt(x) * bounds.eval_Y(2, x))
+        assert 0 < terms - bound[0] < 40
 
 
 def _eval_C_xi_grid(n, x):

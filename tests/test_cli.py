@@ -97,8 +97,9 @@ RUNS = (
     # pass and --verify certifies Lambda(s) from the closed form
     Run("approx --gram gram.json --kappa 500 --verify", check=lambda out, _: (
         out["saturation_det"] == 1 and out["verification"]["kernel_exact"] is True)),
-    # past the Moebius cap: refused; Y_3(1e-100) ~ 5.74e149 answers
-    Run("bounds y --n 2 --x 1e-12", 2, timeout=60),
+    # Y_2's root is past the Moebius cap: refused before the first sum;
+    # Y_3(1e-100) ~ 5.74e149 answers
+    Run("bounds y --n 2 --x 1e-12", 2, timeout=5),
     Run("bounds y --n 3 --x 1e-100"),
     # (5, 24) is admitted by the exact ball count; the norm bounds the obstruction stream
     Run("museq greedy --mu 5 --dim 24", timeout=30),
@@ -106,6 +107,10 @@ RUNS = (
     # mu |s|^2 = 900 = 30^2: the cutoff is decided in integers, not one below
     Run("museq obstructions --s 1,3,7,4 --mu 12 --lo 1 --hi 1",
         check=lambda out, _: out["A"] == 30),
+    # sigma = hi / (mu^(n/2) V_n) is inf at 520 entries; at 600, mu^(n/2) V_n is 0.0
+    *(Run(f"museq obstructions --s {'1,' * (n - 1)}1 --mu 2 --lo 1 --hi 2", 1,
+          id=f"museq obstructions --s <{n} ones> --mu 2 --lo 1 --hi 2",
+          check=lambda err, _: "sigma" in err) for n in (520, 600)),
     # (20000, 2) streams a long last layer over a small table; rank 10^6 is
     # refused by its Gram-Schmidt steps before the first greedy step
     Run("museq greedy --mu 20000 --dim 2", timeout=30),
