@@ -148,6 +148,8 @@ def eval_C(n: int, x: float) -> float:
     bracket; the value at t(x) is taken from x and Y_n(x) directly.
     """
     _check_nx("eval_C", n, x)
+    if x / 100.0 == 0.0:
+        raise InputError(f"C_{n}({x}) needs Y_{n}(x/100), and x/100 underflows to 0")
     vol = numth.ball_volume(n - 1)
     t_hi = math.sqrt(x / 100.0) * eval_Y(n, x / 100.0)
     y_right = eval_Y(n, x)

@@ -58,14 +58,18 @@ class IntervalSpec:
 
     @classmethod
     def from_bounds(cls, lo, hi, mu, n):
-        """Raw [lo, hi] interval; sigmas are back-solved for reporting, and
-        refused past float range (sigma_tilde <= sigma)."""
+        """Raw [lo, hi] interval; sigmas are back-solved for reporting.
+        sigma and epsilon = hi / lo - 1 are refused past float range
+        (sigma_tilde <= sigma)."""
         _check_interval(lo, hi)
         scale = _scale(mu, n)
         sigma = hi / scale if scale else math.inf  # scale underflows to 0.0
         if not math.isfinite(sigma):
             raise InputError(f"sigma = hi / (mu^(n/2) V_n) lies past float range (n = {n})")
-        return cls(lo=lo, hi=hi, sigma=sigma, sigma_tilde=lo / scale, epsilon=hi / lo - 1.0)
+        epsilon = hi / lo - 1.0
+        if not math.isfinite(epsilon):
+            raise InputError(f"epsilon = hi / lo - 1 lies past float range (lo = {lo}, hi = {hi})")
+        return cls(lo=lo, hi=hi, sigma=sigma, sigma_tilde=lo / scale, epsilon=epsilon)
 
     def integers(self) -> list[int]:
         return list(range(math.ceil(self.lo), math.floor(self.hi) + 1))

@@ -77,7 +77,10 @@ def mobius_weight(k: int, n: int) -> float:
         terms += [(l * p, -mu) for l, mu in terms]
         while k % p == 0:
             k //= p
-    return sum(mu / l ** (n - 1) for l, mu in sorted(terms))
+    total = 0.0  # left to right: sum() of floats is compensated from Python 3.12
+    for l, mu in sorted(terms):
+        total += mu / l ** (n - 1)
+    return total
 
 
 def cap_sum(h: float, p: float, n: int | None = None) -> float:
