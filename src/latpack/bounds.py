@@ -14,7 +14,7 @@ import functools
 import math
 
 from . import numth
-from .errors import InputError
+from .errors import InputError, ResourceBudgetError
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -148,10 +148,17 @@ def eval_C(n: int, x: float) -> float:
     bracket; the value at t(x) is taken from x and Y_n(x) directly.
     """
     _check_nx("eval_C", n, x)
+    need = f"C_{n}({x}) needs Y_{n}(x/100)"  # a refusal names the x given
     if x / 100.0 == 0.0:
-        raise InputError(f"C_{n}({x}) needs Y_{n}(x/100), and x/100 underflows to 0")
+        raise InputError(f"{need}, and x/100 underflows to 0")
+    try:
+        y_left = eval_Y(n, x / 100.0)
+    except InputError as exc:
+        raise InputError(f"{need}: {exc}") from exc
+    except ResourceBudgetError as exc:
+        raise ResourceBudgetError(f"{need}: {exc}", exc.estimate, exc.budget) from exc
     vol = numth.ball_volume(n - 1)
-    t_hi = math.sqrt(x / 100.0) * eval_Y(n, x / 100.0)
+    t_hi = math.sqrt(x / 100.0) * y_left
     y_right = eval_Y(n, x)
     t_lo = math.sqrt(x) * y_right
 

@@ -106,20 +106,13 @@ def _pairs_lower_bound(n: int, top: int) -> float:
     return (1.0 - 1e-9) * (ball - k0) / 2.0
 
 
-def _ball_table(s: SVector, mu: int) -> dict:
-    """{m: {d: #z}} over z in Z^(len(s) - 1), m = |z|^2 <= mu - 2, d = |<z, s>|
-    on the first len(s) - 1 entries.  Refused first if the readers' work,
-    the pairs (z, k) with z in Z^len(s), k >= 1 and |z|^2 + k^2 <= mu - 1,
-    is over `lattice.enum_budget()`: at once by a lower bound on the pairs,
-    then by half the point-count bound of that ball in Z^(len(s) + 1), or by
-    the exact count when that is cheap enough.
-
-    Each entry e is added in place, norms from the top down, so a row is
-    read before anything is added to it: x = +/-a moves |dot| d to d + a e
-    and |d - a e|, one each whatever the sign of the dot.
-    """
-    _check_mu(mu)
-    n, budget = len(s.entries), lattice.enum_budget()
+def _check_half_ball(n: int, mu: int) -> None:
+    """Refuse the readers' work on the table of an s with n entries, the
+    pairs (z, k) with z in Z^n, k >= 1 and |z|^2 + k^2 <= mu - 1, if it is
+    over `lattice.enum_budget()`: at once by a lower bound on the pairs, then
+    by half the point-count bound of that ball in Z^(n + 1), or by the exact
+    count when that is cheap enough."""
+    budget = lattice.enum_budget()
     estimate = _pairs_lower_bound(n, mu - 1)
     if estimate <= budget:
         estimate = numth.ball_point_count_bound(n + 1, mu - 1) / 2
@@ -130,6 +123,18 @@ def _ball_table(s: SVector, mu: int) -> dict:
         raise ResourceBudgetError(
             f"half-ball of squared radius {mu - 1} in dimension {n + 1} is too large",
             estimate=estimate, budget=budget)
+
+
+def _ball_table(s: SVector, mu: int) -> dict:
+    """{m: {d: #z}} over z in Z^(len(s) - 1), m = |z|^2 <= mu - 2, d = |<z, s>|
+    on the first len(s) - 1 entries, refused first by `_check_half_ball`.
+
+    Each entry e is added in place, norms from the top down, so a row is
+    read before anything is added to it: x = +/-a moves |dot| d to d + a e
+    and |d - a e|, one each whatever the sign of the dot.
+    """
+    _check_mu(mu)
+    _check_half_ball(len(s.entries), mu)
     table = {0: {0: 1}}
     for e in s.entries[:-1]:
         for m, row in sorted(table.items(), reverse=True):
@@ -188,11 +193,13 @@ def greedy_extend(s: SVector, mu: int) -> int:
 
 def greedy_sequence(mu: int, dim: int) -> MuSequence:
     """The lexicographically first mu-sequence out to the given dimension,
-    refused before its first step when the final certificate's reduction is
-    over the budget (`lattice.check_rank`)."""
+    refused before its first step when the final certificate's reduction
+    (`lattice.check_rank`) or the last step's table (`_check_half_ball`) is
+    over the budget."""
     if mu < 2 or dim < 1:
         raise InputError("need mu >= 2 and dim >= 1")
     lattice.check_rank(dim)
+    _check_half_ball(dim, mu)
     s = SVector((1,))
     for _ in range(dim):
         s = s.extended(greedy_extend(s, mu))

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import numth
-from .errors import InputError
+from . import lattice, numth
+from .errors import InputError, ResourceBudgetError
 
 
 #: Relative truncation of the theta series.
@@ -135,10 +135,28 @@ class FlowTrace:
         return self.rows[n - 1]
 
 
+def _flow_terms(max_n: int) -> float:
+    """About how many cap-sum terms `iterate_d(max_n)` sums: each row's
+    `f_step` makes about 14 solver calls (11.3-14.1 a row, counted at
+    max_n = 16 to 4096), each over about V_n / V_(n+1) ~ sqrt(n / 2 pi)
+    terms near its root, and sum_{n <= N} sqrt(n) ~ (2/3) N^1.5; inf past
+    float range."""
+    try:
+        return 14.0 * (2.0 / 3.0) * float(max_n) ** 1.5 / math.sqrt(2.0 * math.pi)
+    except OverflowError:
+        return math.inf
+
+
 def iterate_d(max_n: int) -> FlowTrace:
-    """Run d_1 = 2, d_{n+1} = f_n(d_n) with the parallel Omega iterates."""
+    """Run d_1 = 2, d_{n+1} = f_n(d_n) with the parallel Omega iterates,
+    refused before the first row when `_flow_terms` is over the budget."""
     if max_n < 1:
         raise InputError(f"iterate_d requires max_n >= 1, got {max_n}")
+    estimate, budget = _flow_terms(max_n), lattice.enum_budget()
+    if estimate > budget:
+        raise ResourceBudgetError(
+            f"the d_n flow to n = {max_n} needs about {estimate:.3g} cap-sum terms",
+            estimate=estimate, budget=budget)
     xi, deriv = fixpoint()
     rows = []
     d = 2.0

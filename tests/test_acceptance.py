@@ -1,15 +1,17 @@
 """Acceptance gate: one test per criterion of the registry in
-`latpack.acceptance`, at the registry's tolerances and runtime limits.
-A criterion whose checks carry a known discrepancy is a strict xfail."""
+`latpack.acceptance`, at the registry's tolerances and runtime limits, over
+the one run of the `verify paper` row of `test_cli.RUNS`.  A criterion whose
+checks carry a known discrepancy is a strict xfail."""
 
 import pytest
 
 from latpack.acceptance import CHECKS
+from test_cli import answer
 
 
 def _gate(checks):
-    def test(sweep):
-        results = {result["name"]: result for result in sweep}
+    def test():
+        results = {result["name"]: result for result in answer("verify paper")["checks"]}
         for check in checks:
             result = results[check.name]
             assert result["passed"], result

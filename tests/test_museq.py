@@ -426,11 +426,6 @@ class TestGreedy:
         assert report.minimum == 2
         assert report.determinant == n + 1
 
-    def test_mu3_is_consecutive(self):
-        seq = museq.greedy_sequence(3, 4)
-        assert seq.s.entries == (1, 2, 3, 4, 5)
-        assert seq.certified
-
     def test_mu4_certified(self):
         seq = museq.greedy_sequence(4, 2)
         assert seq.certified
@@ -458,13 +453,12 @@ class TestGreedy:
         with pytest.raises(ResourceBudgetError, match="rank 1000000"):
             museq.greedy_sequence(3, 10**6)
 
-    def test_entry_bounds_hold(self):
-        for mu in (2, 3, 5, 8):
-            seq = museq.greedy_sequence(mu, 6)
-            for n in range(1, 7):
-                first, second = museq.greedy_entry_bounds(mu, n)
-                assert seq.s.entries[n] <= first
-                assert seq.s.entries[n] <= second
+    def test_last_half_ball_refused_before_the_first_step(self, monkeypatch):
+        def step(*args):
+            raise AssertionError("a greedy step ran")
+        monkeypatch.setattr(museq, "forbidden_values", step)
+        with pytest.raises(ResourceBudgetError, match="in dimension 4 is too large"):
+            museq.greedy_sequence(70000, 3)
 
     def test_density_bound_holds(self):
         for mu in (2, 3, 6):

@@ -133,11 +133,6 @@ class TestFStep:
             2.0 * math.pi / math.sqrt(3.0), rel=1e-9
         )
 
-    def test_table_step(self):
-        d3 = thetaflow.f_step(2, thetaflow.f_step(1, 2.0))
-        d4 = thetaflow.f_step(3, d3)
-        assert d4 == pytest.approx(D_TABLE[4][0], abs=1e-6)
-
     def test_defining_residual(self):
         import math as m
 
@@ -169,6 +164,13 @@ def trace():
 class TestIterateD:
     def test_row_accessor(self, trace):
         assert trace.row(8).n == 8
+
+    def test_budget_estimates_the_cap_sum_terms(self, monkeypatch):
+        terms, cap_sum = [], thetaflow.numth.cap_sum
+        monkeypatch.setattr(thetaflow.numth, "cap_sum", lambda h, p, n=None: (
+            terms.append(math.floor(1.0 / h)) or cap_sum(h, p, n)))
+        thetaflow.iterate_d(256)
+        assert 1 / 4 < thetaflow._flow_terms(256) / sum(terms) < 4  # 15,251 / 12,024
 
     def test_asymptotic_fit(self, trace):
         fit = thetaflow.asymptotic_fit(trace)
