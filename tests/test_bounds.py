@@ -179,6 +179,16 @@ class TestEvalC:
         # 418: two bisections, 255 grid points and the golden section
         assert len(f_calls) <= 450
 
+    # a refusal of the Y_n(x/100) solve names the x given and keeps the rest
+    @pytest.mark.parametrize("n,x,error", [(2, 1e-10, ResourceBudgetError), (3, 1e300, InputError)])
+    def test_left_edge_refusal_names_the_x_given(self, n, x, error):
+        with pytest.raises(error) as inner:
+            bounds.eval_Y(n, x / 100.0)
+        with pytest.raises(error) as outer:
+            bounds.eval_C(n, x)
+        assert str(outer.value) == f"C_{n}({x}) needs Y_{n}(x/100): {inner.value}"
+        assert vars(outer.value) == vars(inner.value)  # the estimate and the budget
+
     # the right-edge maximum keeps its bits: the n = 2, 3, 4, 25 bench
     # reference points and the delta_3 input
     @pytest.mark.parametrize("n,x", [(2, 1.0), (3, 1.2), (4, 1.5), (25, 4.0), (3, 2.0 / SQRT3)])

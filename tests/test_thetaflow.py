@@ -7,9 +7,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from latpack import thetaflow
+from latpack import lattice, thetaflow
 from latpack.acceptance import D_TABLE
-from latpack.errors import InputError
+from latpack.errors import InputError, ResourceBudgetError
 
 
 class TestTau:
@@ -171,6 +171,18 @@ class TestIterateD:
             terms.append(math.floor(1.0 / h)) or cap_sum(h, p, n)))
         thetaflow.iterate_d(256)
         assert 1 / 4 < thetaflow._flow_terms(256) / sum(terms) < 4  # 15,251 / 12,024
+
+    @pytest.mark.parametrize("max_n", [10**9, 10**400], ids=["1e9", "1e400"])  # 1e400 is past float range
+    def test_refused_before_the_first_row(self, monkeypatch, max_n):
+        def row(*args):
+            raise AssertionError("a row ran")
+        monkeypatch.setattr(thetaflow, "fixpoint", row)
+        with pytest.raises(ResourceBudgetError, match=f"to n = {max_n} needs about"):
+            thetaflow.iterate_d(max_n)
+
+    def test_default_budget_admits_max_n_16384(self, monkeypatch):
+        monkeypatch.delenv("LATPACK_ENUM_BUDGET", raising=False)
+        assert thetaflow._flow_terms(16384) <= lattice.enum_budget()
 
     def test_asymptotic_fit(self, trace):
         fit = thetaflow.asymptotic_fit(trace)
