@@ -107,7 +107,8 @@ def eval_Y(n: int, x: float) -> float:
     most 1 and the summand decreases in k, so F is at most its Riemann
     integral y x^(n/2) V_n / (2 V_{n-1}), and the root is at least
     2 / (V_n x^(n/2)): the bracket starts there, and a root whose lower
-    bound is past float range is refused before the first evaluation.
+    bound is past float range is refused before the first evaluation, as is
+    a target 1/V_{n-1} past float range (from n = 437).
 
     At n = 2 every term is summed one by one, so a root past the term cap
     K_max is refused before the first sum.  sum_{k <= t} phi(k)/k <=
@@ -117,6 +118,9 @@ def eval_Y(n: int, x: float) -> float:
     (pi / (3 sqrt(x))) (1 - 2 (ln K_max + 3) sqrt(x)) - 1 terms.
     """
     _check_nx("eval_Y", n, x)
+    volume = numth.ball_volume(n - 1)
+    if volume == 0.0 or 1.0 / volume == math.inf:
+        raise InputError(f"Y_{n}({x}) needs 1/V_{n - 1}, which lies past float range")
     try:
         log_est = math.log(2.0) - numth.log_ball_volume(n) - (n / 2.0) * math.log(x)
         est = math.exp(log_est)
@@ -128,7 +132,7 @@ def eval_Y(n: int, x: float) -> float:
         slack = 2.0 * (math.log(numth._MOBIUS_CAP) + 3.0) * r
         numth.check_mobius_terms(math.pi / (3.0 * r) * (1.0 - slack) - 1.0, f"Y_2({x})")
     return numth.bisect_increasing(
-        lambda y: eval_F(n, x, y), 1.0 / numth.ball_volume(n - 1),
+        lambda y: eval_F(n, x, y), 1.0 / volume,
         lo, max(2.0 * lo, 1.0, est), rtol=0.0, what="eval_Y",
     )
 
@@ -238,6 +242,10 @@ def _lhs_hermite(n: int, gamma_prev: float, gamma_cur: float) -> float:
 _LHS = {"center": _lhs_center, "density": _lhs_density, "hermite": _lhs_hermite}
 
 
+def _leaves_float_range(n):
+    return InputError(f"the lifting inequality at n = {n} leaves float range")
+
+
 def _lifting(evaluate):
     """Refuse n < 2 and center densities that are not finite and positive,
     and turn a float overflow or underflow of `evaluate` into InputError."""
@@ -251,8 +259,7 @@ def _lifting(evaluate):
             return evaluate(n, delta_prev, delta_cur, *args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:
             # 2^(n-1) overflows, or V_n underflows to 0, past n ~ 1000
-            msg = f"the lifting inequality at n = {n} leaves float range"
-            raise InputError(msg) from exc
+            raise _leaves_float_range(n) from exc
     return guarded
 
 
@@ -267,8 +274,11 @@ def check_theorem1(n, delta_prev, delta_cur, form="center"):
     lhs = _LHS.get(form)
     if lhs is None:
         raise InputError(f"unknown form {form!r}")
-    return lhs(n, convert("center", form, delta_prev, n - 1),
-               convert("center", form, delta_cur, n)) - 1.0
+    prev = convert("center", form, delta_prev, n - 1)
+    cur = convert("center", form, delta_cur, n)
+    if prev == 0.0 or cur == 0.0:  # e.g. gamma_1 = 4 delta_1^2 underflows
+        raise _leaves_float_range(n)
+    return lhs(n, prev, cur) - 1.0
 
 
 def mordell_upper(n: int, gamma_prev: float) -> float:

@@ -10,8 +10,10 @@ class InputError(LatpackError):
 
 
 class ResourceBudgetError(LatpackError):
-    """A computation would exceed its work budget (enumeration nodes,
-    Gram-Schmidt steps, half-ball points or Moebius terms)."""
+    """A computation would exceed its work budget.  LATPACK_ENUM_BUDGET
+    bounds the shortest-vector nodes, the rank admission (one Gram-Schmidt
+    pass's steps), the ball table readers' pairs (z, k) and the d_n flow's
+    cap-sum terms; a Moebius sum has its own cap of 10^6 terms."""
 
     def __init__(self, message, estimate, budget):
         super().__init__(message)

@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from . import numth
 from .errors import InputError, ResourceBudgetError
 
-#: Default work budget: shortest-vector nodes, the reduction of a kernel
-#: basis (see `check_rank`), or half-ball points in `museq`; override with
-#: the LATPACK_ENUM_BUDGET environment variable.
+#: Default work budget: shortest-vector nodes, the rank admission of a
+#: kernel basis (see `check_rank`), the pairs (z, k) that `museq`'s ball
+#: table readers stream, and the cap-sum terms of `thetaflow.iterate_d`;
+#: override with the LATPACK_ENUM_BUDGET environment variable.  Moebius
+#: sums have their own cap, `numth._MOBIUS_CAP`.
 DEFAULT_ENUM_BUDGET = 10**8
 
 

@@ -8,8 +8,9 @@ A JSON stdout is stored as its envelope less `meta.elapsed_ms` and each
 check's `runtime_s`, the only outputs that change from run to run; any
 other stdout (CSV) is stored as text.  Floats are compared exactly, and
 they depend on the platform's libm, so the corpus records the Python and
-machine it was made on.  Regenerating it is a change to a check: name
-each line that changes.
+machine it was made on.  Regenerating it is a change to a check: the
+script names on stderr each row whose record was added, changed or
+removed, against the file it replaces.
 """
 
 import json
@@ -42,14 +43,38 @@ def record(row):
             "stdout": untimed(got["stdout"]), "stderr": got["stderr"]}
 
 
+def by_row(runs):
+    """Corpus records keyed by their row's argv and env."""
+    return {(run["argv"], json.dumps(run.get("env", {}))): run for run in runs}
+
+
+def changes(old_runs, records):
+    """The test id of each row whose record was added, changed or removed."""
+    def row_name(argv, env):
+        return test_cli.name(test_cli.Run(argv, env=json.loads(env)))
+
+    old, new = by_row(old_runs), by_row(records)
+    for key in old.keys() | new.keys():
+        if key not in old:
+            yield f"added: {row_name(*key)}"
+        elif key not in new:
+            yield f"removed: {row_name(*key)}"
+        elif json.dumps(old[key], sort_keys=True) != json.dumps(new[key], sort_keys=True):
+            yield f"changed: {row_name(*key)}"
+
+
 def main():
+    path = HERE / "cli.json"
+    old_runs = json.loads(path.read_text(encoding="utf-8"))["runs"] if path.exists() else []
     records = [record(row) for row in test_cli.RUNS]
     machine = " ".join([platform.machine(), platform.system(), *platform.libc_ver()]).strip()
     made_on = {"python": platform.python_version(), "machine": machine}
     corpus = {"made_on": made_on, "files": test_cli.FILES, "runs": records}
     text = json.dumps(corpus, indent=1, sort_keys=True, allow_nan=False)
-    (HERE / "cli.json").write_text(text + "\n", encoding="utf-8")
-    print(f"{len(records)} argvs written to {HERE / 'cli.json'}", file=sys.stderr)
+    path.write_text(text + "\n", encoding="utf-8")
+    for line in sorted(changes(old_runs, records)):
+        print(line, file=sys.stderr)
+    print(f"{len(records)} argvs written to {path}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -114,6 +114,16 @@ class TestEvalY:
         with pytest.raises(ResourceBudgetError, match=r"Y_2\(1e-12\) needs 1.05e\+06 terms"):
             bounds.eval_Y(2, 1e-12)
 
+    def test_target_past_float_range_refused_before_the_first_evaluation(self, monkeypatch):
+        """1/V_(n-1) is inf from n = 437 and V_(n-1) is 0.0 from n = 454."""
+        def evaluated(*args):
+            raise AssertionError("eval_F called")
+
+        monkeypatch.setattr(bounds, "eval_F", evaluated)
+        for n, x in ((437, 10.0), (450, 10.0), (454, 1e200), (2000, 1e200)):
+            with pytest.raises(InputError, match=rf"needs 1/V_{n - 1}, which lies past"):
+                bounds.eval_Y(n, x)
+
     @pytest.mark.parametrize("x", [1e-8, 1e-6, 1e-4, 1e-2])
     def test_n2_term_bound_is_below_the_root(self, monkeypatch, x):
         """The refusal's lower bound on the root's term count floor(sqrt(x) Y_2(x))
@@ -247,6 +257,11 @@ class TestTheorem1:
             bounds.check_theorem1(3, -1.0, 0.1)
         with pytest.raises(InputError):
             bounds.check_theorem1(3, 0.1, 0.1, form="other")
+
+    def test_underflowing_hermite_constant_refused(self):
+        # gamma_1 = 4 delta_1^2 is 0.0, and its log undefined
+        with pytest.raises(InputError, match="at n = 2 leaves float range"):
+            bounds.check_theorem1(2, 1e-200, 0.5, form="hermite")
 
     def test_unknown_form_refused_before_conversion(self, monkeypatch):
         calls = []

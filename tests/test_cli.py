@@ -1,9 +1,11 @@
 """The CLI contract, in one table of command lines, `RUNS`.  Each row runs
 once: as a subprocess when it guards time (its `timeout`) or memory (its
 `peak_mb`), otherwise in process.  It must exit 0 with strict JSON on stdout,
-or 1 or 2 with one line on stderr, and pass its `check`.  `test_golden.py`
-compares the same run with the corpus that `golden/make_cli.py` writes from
-this table.  Needs the runtime and pytest alone."""
+or 1 or 2 with one line on stderr, and pass its `check`, which holds every
+assertion on that row; the tests past the table read more than one row.
+`test_golden.py` compares the same run with the corpus that
+`golden/make_cli.py` writes from this table.  Needs the runtime and pytest
+alone."""
 
 import contextlib
 import functools
@@ -26,7 +28,6 @@ from unittest import mock
 import pytest
 
 from latpack import bounds, cli, museq
-from latpack.acceptance import D_TABLE
 from latpack.constants import reference
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -164,6 +165,12 @@ RUNS = (
     Run("bounds cn --n 3 --x 1e300", 1),  # F_3 at x/100 overflows
     Run("bounds cn --n 5 --x 5e-324", 1, check=lambda err: "C_5(5e-324)" in err),  # x/100 is 0
     Run("bounds y --n 25 --x 1e-30", 1),  # Y_25 lies past float range
+    # 1/V_(n-1) is inf from n = 437, and V_(n-1) is 0.0 from n = 454
+    *(Run(f"bounds {command} --n {n} --x {x}", 1, check=lambda err: "lies past float range" in err)
+      for command, n, x in (("y", 450, "10"), ("y", 2000, "1e200"), ("cn", 2000, "1e200"))),
+    # gamma_1 = 4 delta_1^2 underflows to 0.0
+    Run("bounds theorem1 --n 2 --delta-prev 1e-200 --delta 0.5 --form hermite", 1,
+        check=lambda err: "the lifting inequality at n = 2 leaves float range" in err),
     # 2^(n-1) overflows, or V_n underflows to 0
     *(Run(f"bounds theorem1 --n 2000 --delta-prev 0.5 --delta 0.5 --form {form}", 1)
       for form in ("center", "hermite", "density")),
@@ -177,59 +184,82 @@ RUNS = (
         check=lambda err: "the following arguments are required: --y" in err),
     Run("bounds theorem1 --n 2 --delta-prev 0.5 --delta 0.2886751 --form bogus", 1),
     Run("lattice report --bogus 1", 1),
-    Run("lattice report --s 1,2,3 --bogus 1", 1),
-    Run("lattice report --s 1,x", 1),
+    Run("lattice report --s 1,2,3 --bogus 1", 1,
+        check=lambda err: err == "error: latpack: unrecognized arguments: --bogus 1\n"),
+    Run("lattice report --s 1,x", 1, check=lambda err: "could not parse '1,x'" in err),
     Run("museq certify --s 1,2 --mu 0", 1),
     Run("museq certify --s 1,2 --mu -5", 1),
     Run("bounds theorem1 --n 1 --delta-prev 0.5 --delta 0.5", 1,
         check=lambda err: "check_theorem1 requires n >= 2, got 1" in err),
     # input errors
-    Run("lattice report --s 2,3", 1),
-    Run("lattice report --s 1", 1),
-    Run("museq certify --s 1 --mu 3", 1),
+    Run("lattice report --s 2,3", 1, check=lambda err: err.startswith("error: s_0 must be 1")),
+    *(Run(argv, 1, check=lambda err: err.startswith("error: the basis is empty"))
+      for argv in ("lattice report --s 1", "museq certify --s 1 --mu 3")),
     Run("museq obstructions --s 1,2 --mu 3 --lo 0 --hi 10", 1),
     Run("museq obstructions --s 1,2 --mu 3 --lo 1 --hi 1e400", 1),
     Run("museq obstructions --s 1,2 --mu 0 --lo 1 --hi 10", 1),
-    Run("approx --gram /no/such/file --kappa 10", 1),
+    Run("approx --gram /no/such/file --kappa 10", 1, check=lambda err: "No such file" in err),
+    Run("approx --gram bool.json --kappa 10", 1),
+    Run("approx --gram bad_n.json --kappa 10", 1, check=lambda err: "'n' does not match" in err),
     *(Run(f"approx --gram {gram}.json --kappa 10", 1) for gram in (
-        "bool", "bad_n", "ragged", "strings", "infinity", "number", "string", "truncated")),
+        "ragged", "strings", "infinity", "number", "string", "truncated")),
     *(Run(f"approx --gram identity.json --kappa {kappa}", 1) for kappa in ("nan", "inf")),
     # the target's minimum is searched on a 1e-6 grid; one past float range,
     # or one that rounds to 0, is refused with one line
-    *(Run(f"approx --gram {gram}.json --kappa 10 --verify", 1) for gram in ("huge", "tiny")),
-    *(Run("lattice report --s 1,2,3", 1, env={"LATPACK_ENUM_BUDGET": budget})
-      for budget in ("abc", "-5")),
+    *(Run(f"approx --gram {gram}.json --kappa 10 --verify", 1,
+          check=lambda err: "1e-6 grid" in err) for gram in ("huge", "tiny")),
+    *(Run("lattice report --s 1,2,3", 1, env={"LATPACK_ENUM_BUDGET": budget},
+          check=lambda err: "LATPACK_ENUM_BUDGET" in err) for budget in ("abc", "-5")),
     # a huge mu is refused, or a basis vector of norm 5 lies below it: the exact verdict
     Run(f"museq greedy --mu {10**400} --dim 1", 2, id="museq greedy --mu 10^400 --dim 1"),
     Run(f"museq obstructions --s 1,2 --mu {10**400} --lo 1 --hi 3", 1,
         id="museq obstructions --s 1,2 --mu 10^400 --lo 1 --hi 3"),
-    Run(f"museq certify --s 1,2 --mu {10**400}", id="museq certify --s 1,2 --mu 10^400"),
+    Run(f"museq certify --s 1,2 --mu {10**400}", id="museq certify --s 1,2 --mu 10^400",
+        check=lambda out: out["certified"] is False and out["violating_norm"] == 5
+        and out["witness"] == [2, -1]),
     # rank 10^4: 1.7e11 Gram-Schmidt steps, refused before the basis is built
-    Run(f"lattice report --s {'1,' * 10000}1", 2),
-    Run(f"museq certify --s {'1,' * 10000}1 --mu 3", 2),
+    *(Run(f"{command} --s {'1,' * 10000}1{mu}", 2,
+          check=lambda err: "lattice of rank 10000 is too large to reduce" in err)
+      for command, mu in (("lattice report", ""), ("museq certify", " --mu 3"))),
     # rank 3 takes 4 steps: budget 3 refuses the reduction, budget 4 the nodes
-    *(Run("lattice report --s 1,31,47,59", 2, env={"LATPACK_ENUM_BUDGET": budget})
-      for budget in ("2", "3", "4")),
-    *(Run(argv, 2, env={"LATPACK_ENUM_BUDGET": "2"}) for argv in (
+    *(Run("lattice report --s 1,31,47,59", 2, env={"LATPACK_ENUM_BUDGET": budget},
+          check=lambda err, reason=reason: reason in err)
+      for budget, reason in (("2", "budget 2)"),
+                             ("3", "rank 3 is too large to reduce (estimate 4,"),
+                             ("4", "node budget (estimate 6,"))),
+    *(Run(argv, 2, env={"LATPACK_ENUM_BUDGET": "2"},
+          check=lambda err: "ball of squared radius 2" in err) for argv in (
         "museq greedy --mu 3 --dim 2", "museq obstructions --s 1,2 --mu 3 --lo 1 --hi 10")),
     # refused at each step of the budget's admission: rank, then half-ball
     *(Run("museq greedy --mu 14 --dim 8", 2, env={"LATPACK_ENUM_BUDGET": budget})
       for budget in ("2", "10", "1000", "100000")),
     # 7.8e7 ball points at the third step, under the default budget, but
     # 1.2e10 pairs (z, k) for the readers to stream: refused before the first step
-    Run("museq greedy --mu 70000 --dim 3", 2),
+    Run("museq greedy --mu 70000 --dim 3", 2,
+        check=lambda err: "half-ball of squared radius 69999 in dimension 4" in err),
     # the bench greedy ladder, and three larger rungs
     *(Run(f"museq greedy --mu {mu} --dim {dim}") for mu, dim in (
         (2, 10), (3, 8), (3, 60), (4, 12), (4, 40), (6, 9), (8, 9), (8, 16), (10, 9),
         (12, 8), (14, 8), (16, 7))),
-    Run("museq certify --s 1,1 --mu 3"),
+    Run("museq certify --s 1,1 --mu 3",
+        check=lambda out: out["certified"] is False and out["violating_norm"] == 2),
+    Run("lattice report --s 1,2,3", check=lambda out: (
+        out["minimum"], out["determinant"], out["witness"]) == (3, 14, [1, 1, -1])),
+    Run("museq certify --s 1,2,3 --mu 3"),
+    Run("museq certify --s 1,2,3 --mu 5"),
+    Run("lattice report --s 1,2,3,4,5"),
+    Run("museq certify --s 1,2,3,4,5 --mu 3",
+        check=lambda out: out["certified"] is True and out["minimum_at_least"] == 3),
+    Run("museq certify --s 1,2,3,4,5 --mu 5"),
     *(Run(f"{command} --s {s}{mu}")
-      for s in ("1,2,3", "1,2,3,4,5", "1,31,47,59", "1,3,7,4", "1,1,1,1,1,1", "1,2,4,8,16,32")
+      for s in ("1,31,47,59", "1,3,7,4", "1,1,1,1,1,1", "1,2,4,8,16,32")
       for command, mu in (("lattice report", ""), ("museq certify", " --mu 3"),
                           ("museq certify", " --mu 5"))),
     *(Run(f"bounds y --n {n} --x {x}") for n in (2, 3, 5, 9, 25) for x in ("0.01", "4")),
     *(Run(f"bounds cn --n {n} --x {x}") for n in (2, 3, 5, 9, 25) for x in ("1.5", "2")),
-    Run("bounds cn --n 60 --x 2.0"),
+    # C_60(2) beats Minkowski-Hlawka's 2^(1-n) as a density
+    Run("bounds cn --n 60 --x 2.0",
+        check=lambda out: bounds.convert("hermite", "density", out["C"], 60) >= 2.0 ** -59),
     # the float sums where a compensated sum() would differ in the last place
     Run("bounds f --n 2 --x 1 --y 1000"),
     Run("bounds f --n 3 --x 2 --y 5000"),
@@ -238,14 +268,20 @@ RUNS = (
     *(Run(f"bounds theorem1 --n {n} --delta-prev {reference(n - 1).center_density!r} "
           f"--delta {reference(n).center_density!r} --form {form}")
       for n in (2, 3, 9, 25) for form in ("center", "hermite", "density")),
+    Run("bounds mordell --n 3 --gamma 1.1547005",
+        check=lambda out: out["gamma_upper"] == pytest.approx(4.0 / 3.0, rel=1e-6)),
     Run("theta fit"),
     Run("theta table --max-n 4"),
-    Run("theta table --max-n 4 --csv"),
+    Run("theta table --max-n 4 --csv", check=lambda text: (
+        text.splitlines()[0] == "n,d,omega_iterate,scaled_diff,A"
+        and len(text.splitlines()) == 5)),
     Run("theta table --max-n 16 --csv"),
     Run("theta table --max-n 300"),
     Run("approx --gram identity.json --kappa 10"),
-    Run("approx --gram identity.json --kappa 100"),
-    Run("approx --gram hexagonal.json --kappa 200 --verify"),
+    Run("approx --gram identity.json --kappa 100", check=lambda out: (
+        out["v"] == [1, -100, 10000] and abs(out["saturation_det"]) == 1)),
+    Run("approx --gram hexagonal.json --kappa 200 --verify",
+        check=lambda out: out["verification"]["kernel_exact"] is True),
     *(Run(argv) for argv in TARGET_ARGVS),
 )
 RUNS += tuple(Run(line) for line in README_LINES
@@ -375,21 +411,6 @@ class TestEnvelope:
 
 
 class TestMuseq:
-    def test_greedy(self):
-        out = answer("museq greedy --mu 3 --dim 4")
-        assert out["s"] == [1, 2, 3, 4, 5]
-        assert out["certified"] is True
-
-    def test_certify_pass(self):
-        out = answer("museq certify --s 1,2,3,4,5 --mu 3")
-        assert out["certified"] is True
-        assert out["minimum_at_least"] == 3
-
-    def test_certify_fail(self):
-        out = answer("museq certify --s 1,1 --mu 3")
-        assert out["certified"] is False
-        assert out["violating_norm"] == 2
-
     def test_obstructions(self, capsys, monkeypatch):
         calls = []
         enumerate_ball = museq.interval_obstructions
@@ -404,116 +425,10 @@ class TestMuseq:
         assert len(calls) == 1  # the ball is enumerated once
 
 
-class TestLattice:
-    def test_report(self):
-        out = answer("lattice report --s 1,2,3")
-        assert out["minimum"] == 3
-        assert out["determinant"] == 14
-        assert out["witness"] == [1, 1, -1]
-
-
-class TestBounds:
-    def test_cn(self):
-        out = answer("bounds cn --n 3 --x 1.15470054")
-        assert out["center_density_bound"] == pytest.approx(0.1695, abs=5e-4)
-
-    def test_cn_beats_minkowski_hlawka_at_n60(self):
-        out = answer("bounds cn --n 60 --x 2.0")
-        assert bounds.convert("hermite", "density", out["C"], 60) >= 2.0 ** (1 - 60)
-
-    def test_theorem1(self):
-        out = answer("bounds theorem1 --n 2 --delta-prev 0.5 --delta 0.2886751345948129 "
-                     "--form center")
-        assert out["holds"] is True
-        assert abs(out["residual"]) < 1e-12
-
-    def test_mordell(self):
-        out = answer("bounds mordell --n 3 --gamma 1.1547005")
-        assert out["gamma_upper"] == pytest.approx(4.0 / 3.0, rel=1e-6)
-
-
-class TestTheta:
-    def test_table_rows(self):
-        rows = {row["n"]: row for row in answer("theta table --max-n 16")["rows"]}
-        assert rows[2]["d"] == pytest.approx(D_TABLE[2][0], abs=1e-6)
-        assert rows[8]["d"] == pytest.approx(D_TABLE[8][0], abs=1e-6)
-        assert rows[16]["omega_iterate"] == pytest.approx(D_TABLE[16][1], abs=1e-6)
-
-    def test_table_csv(self):
-        lines = answer("theta table --max-n 4 --csv").strip().splitlines()
-        assert lines[0] == "n,d,omega_iterate,scaled_diff,A"
-        assert len(lines) == 5
-
-    def test_fit(self):
-        assert answer("theta fit")["c0"] == pytest.approx(23.13882534, abs=1e-4)
-
-
-class TestApprox:
-    def test_from_file(self):
-        out = answer("approx --gram identity.json --kappa 100")
-        assert out["v"] == [1, -100, 10000]
-        assert abs(out["saturation_det"]) == 1
-
-    def test_verify_flag(self):
-        out = answer("approx --gram hexagonal.json --kappa 200 --verify")
-        assert out["verification"]["kernel_exact"] is True
-
-    def test_bad_n_field(self):
-        assert "'n' does not match" in answer("approx --gram bad_n.json --kappa 10")
-
-    def test_verify_outside_the_grid(self):
-        for gram in ("huge", "tiny"):
-            assert "1e-6 grid" in answer(f"approx --gram {gram}.json --kappa 10 --verify")
-
-    def test_missing_file(self):
-        assert "No such file" in answer("approx --gram /no/such/file --kappa 10")
-
-
 class TestExitCodes:
-    def test_input_error(self):
-        assert answer("lattice report --s 2,3").startswith("error: s_0 must be 1")
-        for row_name in ("lattice report --s 1", "museq certify --s 1 --mu 3"):
-            assert answer(row_name).startswith("error: the basis is empty")
-        for budget in ("abc", "-5"):
-            err = answer(f"LATPACK_ENUM_BUDGET={budget} lattice report --s 1,2,3")
-            assert "LATPACK_ENUM_BUDGET" in err
-
-    def test_huge_mu(self):
-        out = answer("museq certify --s 1,2 --mu 10^400")
-        assert out["certified"] is False
-        assert out["violating_norm"] == 5
-        assert out["witness"] == [2, -1]
-
-    def test_parse_error(self):
-        assert "could not parse '1,x'" in answer("lattice report --s 1,x")
-
     @pytest.mark.parametrize("row", [pytest.param(r, id=name(r)) for r in RUNS if r.code])
     def test_refused_with_one_line(self, row):
         check_row(row)
-
-    def test_budget_error(self):
-        assert "budget 2)" in answer("LATPACK_ENUM_BUDGET=2 lattice report --s 1,31,47,59")
-
-    def test_budget_bounds_the_reduction(self):
-        for row_name in ("lattice report --s <10001 ones>",
-                         "museq certify --s <10001 ones> --mu 3"):
-            assert "lattice of rank 10000 is too large to reduce" in answer(row_name)
-        for budget, reason in (("3", "rank 3 is too large to reduce (estimate 4,"),
-                               ("4", "node budget (estimate 6,")):
-            assert reason in answer(f"LATPACK_ENUM_BUDGET={budget} lattice report --s 1,31,47,59")
-
-    def test_budget_bounds_the_ball_walks(self):
-        for argv in ("museq greedy --mu 3 --dim 2",
-                     "museq obstructions --s 1,2 --mu 3 --lo 1 --hi 10"):
-            assert "ball of squared radius 2" in answer(f"LATPACK_ENUM_BUDGET=2 {argv}")
-
-    def test_budget_counts_the_readers_work(self):
-        err = answer("museq greedy --mu 70000 --dim 3")
-        assert "half-ball of squared radius 69999 in dimension 4" in err
-
-    def test_unknown_flag_rejected(self):
-        err = answer("lattice report --s 1,2,3 --bogus 1")
-        assert err == "error: latpack: unrecognized arguments: --bogus 1\n"
 
 
 def test_runtime_needs_neither_numpy_nor_scipy():

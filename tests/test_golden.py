@@ -1,7 +1,8 @@
 """Same outputs as a test: each row of `test_cli.RUNS`, from its one run, gives
 the exit code, stdout (less its timings) and stderr recorded in
 tests/golden/cli.json, floats compared exactly.  Regenerate the corpus with
-`PYTHONPATH=src python tests/golden/make_cli.py`, and name each changed line."""
+`PYTHONPATH=src python tests/golden/make_cli.py`, which names each row it
+added, changed or removed."""
 
 import importlib.util
 import json
@@ -16,7 +17,7 @@ _spec = importlib.util.spec_from_file_location("make_cli", GOLDEN / "make_cli.py
 make_cli = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_cli)
 CORPUS = json.loads((GOLDEN / "cli.json").read_text(encoding="utf-8"))
-RECORDED = {(run["argv"], json.dumps(run.get("env", {}))): run for run in CORPUS["runs"]}
+RECORDED = make_cli.by_row(CORPUS["runs"])
 
 
 def test_the_corpus_is_the_table():

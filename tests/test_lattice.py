@@ -413,9 +413,9 @@ class TestEnumerationOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(
-        kernel_rows(1, 12, 8),  # many ties
-        kernel_rows(1, 10**6, 6),
-        kernel_rows(2**40, 2**60, 4),  # norms past float resolution
+        kernel_rows(1, 12, 14),  # many ties
+        kernel_rows(1, 10**6, 14),
+        kernel_rows(2**40, 2**60, 14),  # norms past float resolution
         st.integers(min_value=2, max_value=12).map(
             lambda mu: lattice.basis_from_s(museq.greedy_sequence(mu, 8).s)),
         st.integers(min_value=1, max_value=12).map(
@@ -455,17 +455,13 @@ class TestEnumerationOracle:
         assert peak < 400 * 1024
 
 
-#: The entry ranges of `TestEnumerationOracle`, at ranks 1..14.
-kernel_vectors = st.one_of(
-    kernel_s(1, 12, 14), kernel_s(1, 10**6, 14), kernel_s(2**40, 2**60, 14))
-
-
 @st.composite
 def kernel_shaped_rows(draw, min_rank=1):
-    """The rows `basis_from_s` builds, t[i] e_0 - e_(i+1), but with any
-    integer t[i] in column 0: zero and negative ones too."""
-    t = draw(st.lists(st.one_of(st.integers(-12, 12), st.integers(-2**60, 2**60)),
-                      min_size=min_rank, max_size=10))
+    """The rows `basis_from_s` builds, t[i] e_0 - e_(i+1), at ranks up to 14,
+    but with any integer t[i] in column 0: zero and negative ones too."""
+    entry = st.one_of(st.integers(-12, 12), st.integers(-10**6, 10**6),
+                      st.integers(-2**60, 2**60))
+    t = draw(st.lists(entry, min_size=min_rank, max_size=14))
     return [tuple(t[i] if j == 0 else -1 if j == i + 1 else 0
                   for j in range(len(t) + 1))
             for i in range(len(t))]
@@ -501,14 +497,6 @@ class TestKernelGramSchmidt:
     form; the generic pass on the Gram matrix it replaces is the oracle."""
 
     @settings(max_examples=150, deadline=None)
-    @given(kernel_vectors)
-    def test_matches_generic_pass(self, s):
-        rows = lattice.basis_from_s(s)
-        d, lam = lattice._kernel_gram_schmidt(rows)
-        assert (d, lam) == lattice.integral_gram_schmidt(lattice.gram(rows))
-        assert d[-1] == lattice.determinant(s)
-
-    @settings(max_examples=150, deadline=None)
     @given(kernel_shaped_rows())
     def test_closed_form_for_every_column_zero(self, rows):
         assert lattice._kernel_gram_schmidt(rows) == \
@@ -520,28 +508,6 @@ class TestKernelGramSchmidt:
     def test_near_misses_take_the_generic_pass(self, rows):
         assert lattice._kernel_gram_schmidt(rows) is None
         assert lattice.lll_reduce(rows) == generic_start(lattice.lll_reduce, rows)
-
-    @settings(max_examples=100, deadline=None)
-    @given(kernel_vectors)
-    def test_seeded_lll_matches_unseeded(self, s):
-        rows = lattice.basis_from_s(s)
-        seeded = lattice.lll_reduce(rows)
-        assert seeded == generic_start(lattice.lll_reduce, rows)
-        reduced, d, lam = seeded
-        assert (d, lam) == lattice.integral_gram_schmidt(lattice.gram(reduced))
-
-    @settings(max_examples=100, deadline=None)
-    @given(kernel_vectors)
-    def test_seeded_search_matches_plain_enumeration(self, s):
-        rows = lattice.basis_from_s(s)
-        result = lattice.shortest_vector(rows)
-        assert result == generic_start(lattice.shortest_vector, rows)
-        assert result == plain_shortest_vector(rows)
-        m = result[0]
-        for upper in (m, m + 1, max(1, m // 2)):
-            verdict = lattice.shortest_vector(rows, upper=upper)
-            assert verdict == generic_start(lattice.shortest_vector, rows, upper=upper)
-            assert verdict == plain_shortest_vector(rows, upper=upper)
 
     def test_one_rank_check_per_certificate(self, monkeypatch):
         checked = []

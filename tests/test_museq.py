@@ -114,80 +114,11 @@ def oracle_interval_obstructions(s, mu, interval):
     )
 
 
-def _half_ball(s, mu):
-    """Yield (|z|^2, |<z, s>|, z) for z in Z^len(s), 0 < |z|^2 < mu - 1,
-    one of each +/- pair: the z whose first nonzero entry is positive.
-
-    Depth-first (Fincke-Pohst), carrying the norm and <z, s> down the
-    levels: the point walk that the (norm, |dot|) table replaced.
-    """
-    museq._check_mu(mu)
-    entries = s.entries
-    last = len(entries) - 1
-
-    def walk(i, norm, dot, z, started):
-        limit = math.isqrt(mu - 2 - norm)  # largest x with norm + x^2 < mu - 1
-        e = entries[i]
-        if i == last:
-            for x in range(-limit if started else 1, limit + 1):
-                yield norm + x * x, abs(dot + x * e), z + (x,)
-            return
-        for x in range(-limit if started else 0, limit + 1):
-            yield from walk(i + 1, norm + x * x, dot + x * e, z + (x,), started or x > 0)
-
-    return walk(0, 0, 0, (), False)
-
-
-def walk_forbidden_values(s, mu):
-    """forbidden_values read from the half-ball walk."""
-    out = set()
-    for norm, dot, _ in _half_ball(s, mu):
-        k = 1
-        while norm + k * k < mu:
-            if dot % k == 0 and dot // k > 0:
-                out.add(dot // k)
-            k += 1
-    return sorted(out)
-
-
-def walk_interval_obstructions(s, mu, interval):
-    """interval_obstructions read from the half-ball walk, with gcd."""
-    ks = range(1, math.isqrt(mu - 1) + 1)
-    obstructed = {k: set() for k in ks}
-    residue_counts = {k: [0] * k for k in ks}
-    primitive = dict.fromkeys(ks, 0)
-    lo, hi = Fraction(interval.lo), Fraction(interval.hi)
-    # lo > 0, so of z and -z only the one with <., s> = |<z, s>| can lie
-    # in [k lo, k hi]; the canonical z stands for it (same norm, same gcd).
-    for norm, dot, z in _half_ball(s, mu):
-        k = 1
-        while norm + k * k < mu:
-            if k * lo <= dot <= k * hi:
-                r = dot % k
-                residue_counts[k][r] += 1
-                if r == 0:
-                    if lo <= dot // k <= hi:
-                        obstructed[k].add(dot // k)
-                    if math.gcd(k, *z) == 1:
-                        primitive[k] += 1
-            k += 1
-    union = set().union(*obstructed.values())
-    return museq.ObstructionReport(
-        k_max=len(ks),
-        A=oracle_cutoff(s, mu, interval),
-        obstructed={k: sorted(ik) for k, ik in obstructed.items()},
-        witness_counts={k: (residue_counts[k][0], primitive[k]) for k in ks},
-        residue_counts=residue_counts,
-        union=sorted(union),
-        union_size=len(union),
-    )
-
-
-def check_against_walk(s, mu, interval):
-    """The (norm, |dot|) table gives what the half-ball walk gave."""
-    assert museq.forbidden_values(s, mu) == walk_forbidden_values(s, mu)
+def check_against_oracle(s, mu, interval):
+    """The (norm, |dot|) table gives what the full-ball definitions give."""
+    assert museq.forbidden_values(s, mu) == oracle_forbidden_values(s, mu)
     report = museq.interval_obstructions(s, mu, interval)
-    assert report == walk_interval_obstructions(s, mu, interval)
+    assert report == oracle_interval_obstructions(s, mu, interval)
 
 
 def interval_ends(top):
@@ -221,61 +152,16 @@ def wide_mu_cases(draw):
     return s, mu, museq.IntervalSpec.from_bounds(lo, hi, mu, len(s.entries))
 
 
-def brute_ball(n, bound):
-    r = math.isqrt(bound) + 1
-    return [z for z in itertools.product(range(-r, r + 1), repeat=n)
-            if sum(x * x for x in z) < bound]
-
-
-class TestBallPoints:
-    """The half-ball walk over {z : 0 < |z|^2 < mu - 1}, here mu = bound + 1."""
-
-    @pytest.mark.parametrize("n,bound", [(1, 5), (2, 7), (3, 4), (4, 9)])
-    def test_matches_brute_force(self, n, bound):
-        s = SVector((1, 5, 12, 40)[:n])
-        walked = list(_half_ball(s, bound + 1))
-        pairs = {frozenset((z, tuple(-x for x in z))) for _, _, z in walked}
-        expected = {frozenset((z, tuple(-x for x in z)))
-                    for z in brute_ball(n, bound) if any(z)}
-        assert len(walked) == len(pairs)
-        assert pairs == expected
-        for norm, dot, z in walked:
-            assert norm == sum(x * x for x in z)
-            assert dot == abs(sum(x * e for x, e in zip(z, s.entries)))
-
-    def test_half_ball_pairs(self):
-        points = [z for _, _, z in _half_ball(SVector((1, 2, 3, 4)), 10)]
-        assert len(points) == sum(1 for z in brute_ball(4, 9) if any(z)) // 2
-        for z in points:
-            assert next(x for x in z if x) > 0
-
-    def test_empty_for_nonpositive_bound(self):
-        # mu = 2 leaves only the zero point below mu - 1 = 1
-        for n in range(1, 5):
-            assert list(_half_ball(SVector((1,) * n), 2)) == []
-        with pytest.raises(InputError):
-            _half_ball(SVector((1, 2)), 1)
-
-
-class TestOracles:
+class TestTableMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(obstruction_cases())
-    def test_match_full_ball_oracles(self, case):
-        s, mu, interval = case
-        check_against_walk(s, mu, interval)
-        assert museq.forbidden_values(s, mu) == oracle_forbidden_values(s, mu)
-        report = museq.interval_obstructions(s, mu, interval)
-        expected = oracle_interval_obstructions(s, mu, interval)
-        for field in ("k_max", "obstructed", "witness_counts", "residue_counts",
-                      "union", "union_size", "A"):
-            assert getattr(report, field) == getattr(expected, field), field
+    def test_many_dimensions(self, case):
+        check_against_oracle(*case)
 
-
-class TestTableMatchesWalk:
     @settings(max_examples=150, deadline=None)
     @given(wide_mu_cases())
     def test_wide_mu(self, case):
-        check_against_walk(*case)
+        check_against_oracle(*case)
 
     @pytest.mark.parametrize("mu,lo,hi", [(17, 1, 40), (37, 1.5, 120.25), (50, 3, 1e300),
                                           (50, 1, 1.7e308)])
@@ -284,22 +170,22 @@ class TestTableMatchesWalk:
         # and k hi may lie past float range
         s = SVector((1, 2, 5))
         interval = museq.IntervalSpec.from_bounds(lo, hi, mu, 3)
-        check_against_walk(s, mu, interval)
+        check_against_oracle(s, mu, interval)
         counts = museq.interval_obstructions(s, mu, interval).witness_counts
         assert any(p < x for x, p in counts.values())
 
     def test_k_lo_overflows(self):
         # 2 lo lies past float range, and past vmax: every k >= 2 has no dots,
-        # as in the walk, and no traceback
+        # as in the oracle, and no traceback
         interval = museq.IntervalSpec.from_bounds(1e308, 1.5e308, 50, 3)
-        check_against_walk(SVector((1, 2, 5)), 50, interval)
+        check_against_oracle(SVector((1, 2, 5)), 50, interval)
 
     def test_large_mu_few_dimensions(self):
         # the two forbidden sets greedy_sequence(2000, 2) reads
         s = SVector((1,))
         for _ in range(2):
             forbidden = museq.forbidden_values(s, 2000)
-            assert forbidden == walk_forbidden_values(s, 2000)
+            assert forbidden == oracle_forbidden_values(s, 2000)
             s = s.extended(museq.greedy_extend(s, 2000))
 
     def test_memory(self):
@@ -347,7 +233,7 @@ class TestForbiddenValues:
                             if sum(x * x for x in z) <= 9)
         assert pairs < numth.ball_point_count_bound(6, 9) / 2
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(pairs))
-        assert museq.forbidden_values(s, 10) == walk_forbidden_values(s, 10)
+        assert museq.forbidden_values(s, 10) == oracle_forbidden_values(s, 10)
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(pairs - 1))
         with pytest.raises(ResourceBudgetError) as refused:
             museq.forbidden_values(s, 10)
