@@ -114,15 +114,23 @@ class TestEvalY:
         with pytest.raises(ResourceBudgetError, match=r"Y_2\(1e-12\) needs 1.05e\+06 terms"):
             bounds.eval_Y(2, 1e-12)
 
-    def test_target_past_float_range_refused_before_the_first_evaluation(self, monkeypatch):
-        """1/V_(n-1) is inf from n = 437 and V_(n-1) is 0.0 from n = 454."""
+    # 1/V_(n-1) is inf from n = 437 and V_(n-1) is 0.0 from n = 454
+    @pytest.mark.parametrize("n,x", [(437, 10.0), (450, 10.0), (454, 1e200), (2000, 1e200)])
+    def test_target_past_float_range_refused_before_the_first_evaluation(self, monkeypatch,
+                                                                         n, x):
         def evaluated(*args):
             raise AssertionError("eval_F called")
 
         monkeypatch.setattr(bounds, "eval_F", evaluated)
-        for n, x in ((437, 10.0), (450, 10.0), (454, 1e200), (2000, 1e200)):
-            with pytest.raises(InputError, match=rf"needs 1/V_{n - 1}, which lies past"):
-                bounds.eval_Y(n, x)
+        with pytest.raises(InputError, match=rf"needs 1/V_{n - 1}, which lies past"):
+            bounds.eval_Y(n, x)
+
+    def test_last_finite_target_answers(self):
+        """n = 436, the last n whose target 1/V_(n-1) is a float, still solves F = target."""
+        target = 1.0 / numth.ball_volume(435)
+        y = bounds.eval_Y(436, 10.0)
+        assert math.isfinite(target) and math.isfinite(y)
+        assert bounds.eval_F(436, 10.0, y) == pytest.approx(target, rel=1e-12)
 
     @pytest.mark.parametrize("x", [1e-8, 1e-6, 1e-4, 1e-2])
     def test_n2_term_bound_is_below_the_root(self, monkeypatch, x):
@@ -258,10 +266,15 @@ class TestTheorem1:
         with pytest.raises(InputError):
             bounds.check_theorem1(3, 0.1, 0.1, form="other")
 
-    def test_underflowing_hermite_constant_refused(self):
-        # gamma_1 = 4 delta_1^2 is 0.0, and its log undefined
-        with pytest.raises(InputError, match="at n = 2 leaves float range"):
-            bounds.check_theorem1(2, 1e-200, 0.5, form="hermite")
+    @pytest.mark.parametrize("n,prev,cur,form", [
+        (2, 1e-200, 0.5, "hermite"),  # gamma_1 = 4 delta_1^2 is 0.0, and its log undefined
+        (2, 5e-324, 0.5, "hermite"),
+        (30, 5e-324, 0.5, "density"),  # Delta_29 = delta_29 V_29 is 0.0
+        (30, 0.5, 5e-324, "density"),  # Delta_30 = delta_30 V_30 is 0.0
+    ])
+    def test_underflowing_converted_constant_refused(self, n, prev, cur, form):
+        with pytest.raises(InputError, match=f"at n = {n} leaves float range"):
+            bounds.check_theorem1(n, prev, cur, form=form)
 
     def test_unknown_form_refused_before_conversion(self, monkeypatch):
         calls = []

@@ -35,3 +35,40 @@ def test_replays_the_corpus(row):
     assert text[0] == text[1], (
         f"`latpack {name(row)}` differs from the corpus, made on Python "
         f"{made['python']}, {made['machine']}: floats depend on the platform's libm")
+
+
+def test_untimed_drops_only_the_timings():
+    stdout = json.dumps({"meta": {"elapsed_ms": 3.2, "command": "verify paper"},
+                         "outputs": {"checks": [{"name": "a", "runtime_s": 0.1, "passed": True}]}})
+    assert make_cli.untimed(stdout) == {
+        "meta": {"command": "verify paper"},
+        "outputs": {"checks": [{"name": "a", "passed": True}]}}
+
+
+def test_untimed_keeps_text_as_text():
+    csv = "n,d,omega_iterate,scaled_diff,A\n1,2.0,2.0,0.0,0.0\n"
+    assert make_cli.untimed(csv) == csv
+
+
+def _record(argv, stdout="{}", env=None):
+    return {"argv": argv, **({"env": env} if env else {}), "code": 0, "stdout": stdout,
+            "stderr": ""}
+
+
+@pytest.mark.parametrize("old,new,listed", [
+    pytest.param([_record("theta fit")], [_record("theta fit")], [], id="unchanged"),
+    pytest.param([], [_record("theta fit")], ["added: theta fit"], id="added"),
+    pytest.param([_record("theta fit")], [], ["removed: theta fit"], id="removed"),
+    pytest.param([_record("theta fit", {"c0": 1.0})], [_record("theta fit", {"c0": 2.0})],
+                 ["changed: theta fit"], id="changed"),
+    # the corpus is written with sorted keys, so key order is no change
+    pytest.param([_record("theta fit", {"a": 1, "b": 2})],
+                 [_record("theta fit", {"b": 2, "a": 1})], [], id="key-order"),
+    # a row is its argv and its env: the same argv under another env is another row
+    pytest.param([_record("lattice report --s 1,2,3")],
+                 [_record("lattice report --s 1,2,3"),
+                  _record("lattice report --s 1,2,3", env={"LATPACK_ENUM_BUDGET": "2"})],
+                 ["added: LATPACK_ENUM_BUDGET=2 lattice report --s 1,2,3"], id="env"),
+])
+def test_changes_names_each_row_added_changed_or_removed(old, new, listed):
+    assert sorted(make_cli.changes(old, new)) == listed

@@ -115,6 +115,32 @@ class TestCheckRank:
             lattice.check_rank(n)
 
 
+class TestEnumBudget:
+    @pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
+    def test_default(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("LATPACK_ENUM_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("LATPACK_ENUM_BUDGET", value)
+        assert lattice.enum_budget() == lattice.DEFAULT_ENUM_BUDGET
+
+    @pytest.mark.parametrize("value,budget", [("1", 1), ("7", 7), (" 12 ", 12)])
+    def test_reads_a_positive_integer(self, monkeypatch, value, budget):
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", value)
+        assert lattice.enum_budget() == budget
+
+    @pytest.mark.parametrize("value,message", [
+        ("abc", "must be an integer, got 'abc'"),
+        ("1e8", "must be an integer, got '1e8'"),
+        ("0", "must be >= 1, got 0"),
+        ("-5", "must be >= 1, got -5"),
+    ])
+    def test_refused(self, monkeypatch, value, message):
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", value)
+        with pytest.raises(InputError, match=f"LATPACK_ENUM_BUDGET {message}"):
+            lattice.enum_budget()
+
+
 def fraction_gram_schmidt(b):
     """Exact rational Gram-Schmidt data (mu coefficients, squared norms)."""
     n = len(b)
@@ -272,6 +298,17 @@ class TestLLL:
                     min_size=1, max_size=10))
     def test_matches_fraction_oracle_on_kernel_bases(self, tail):
         check_lll(lattice.basis_from_s(SVector((1,) + tuple(tail))))
+
+    @given(st.integers(min_value=-10**30, max_value=10**30),
+           st.integers(min_value=1, max_value=10**12))
+    def test_round_div_is_round_of_the_fraction(self, a, b):
+        assert lattice._round_div(a, b) == round(Fraction(a, b))
+
+    def test_round_div_breaks_ties_to_even(self):
+        # every tie a / b = q + 1/2 for b <= 12, on both sides of 0
+        for b in range(2, 13, 2):
+            for a in range(-5 * b - b // 2, 5 * b, b):
+                assert lattice._round_div(a, b) == round(Fraction(a, b))
 
     def test_matches_fraction_oracle_on_ties(self):
         # small entries make mu_kj = +-1/2, +-3/2 ... often: the rounding

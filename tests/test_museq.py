@@ -352,6 +352,22 @@ class TestGreedy:
             report = lattice.density_report(seq.s)
             assert report.center_density >= museq.greedy_density_bound(mu, 6)
 
+    @given(st.integers(min_value=2, max_value=100), st.integers(min_value=1, max_value=60))
+    def test_entry_bounds_match_the_displayed_formulas(self, mu, n):
+        """(1 + sqrt(mu-2) sqrt(mu-1+n/4)^n V_n, sqrt(mu) sqrt(mu+n/4)^n V_n),
+        evaluated directly where that stays in float range."""
+        first, second = museq.greedy_entry_bounds(mu, n)
+        v = numth.ball_volume(n)
+        assert first == pytest.approx(
+            1.0 + math.sqrt(mu - 2) * math.sqrt(mu - 1 + n / 4.0) ** n * v, rel=1e-12)
+        assert second == pytest.approx(math.sqrt(mu) * math.sqrt(mu + n / 4.0) ** n * v,
+                                       rel=1e-12)
+
+    @given(st.integers(min_value=2, max_value=100), st.integers(min_value=1, max_value=60))
+    def test_density_bound_matches_the_displayed_formula(self, mu, n):
+        direct = (1.0 + n / (4.0 * mu)) ** (-n / 2.0) / (2.0**n * math.sqrt((n + 1) * mu))
+        assert museq.greedy_density_bound(mu, n) == pytest.approx(direct, rel=1e-12)
+
 
 class TestIntervalSpec:
     def test_sigma_round_trip(self):
