@@ -44,8 +44,12 @@ def _eval_F_large(n, x, y, kmax):
 
     Each S(l) is a Riemann sum of g(t) = (x - t^2)^((n-1)/2) with tiny
     spacing l/y, evaluated by Euler-Maclaurin with the integral
-    x^(p+1/2) `_cap_integral`(p, b/sqrt(x)), p = (n-1)/2.  The l-sum is
-    truncated where its 1/l^(n-1) decay drops below 1e-13 relative.
+    x^(p+1/2) `_cap_integral`(p, b/sqrt(x)), p = (n-1)/2.  S(l) is about
+    S(1)/l, so the indices past L add at most about 1/((n-1) L^(n-1)) times
+    S(1), and F is about S(1)/zeta(n).  L is where that bound is 1e-13, but
+    at most 30,000 indices.  The cap binds at n = 3 alone (the formula gives
+    2.2e6 there), where the bound is 5.6e-10 of S(1); 7e-13 of F was seen
+    for y from 1e6 to 1e12 at x = 1.
     """
     p = (n - 1) / 2.0
     sqx = math.sqrt(x)
@@ -106,16 +110,15 @@ def eval_Y(n: int, x: float) -> float:
     `numth.bisect_increasing` from there is safe.  Every weight is at
     most 1 and the summand decreases in k, so F is at most its Riemann
     integral y x^(n/2) V_n / (2 V_{n-1}), and the root is at least
-    2 / (V_n x^(n/2)): the bracket starts there, and a root whose lower
-    bound is past float range is refused before the first evaluation, as is
-    a target 1/V_{n-1} past float range (from n = 437).
+    est = 2 / (V_n x^(n/2)): the bracket starts at max(2/sqrt(x), est),
+    and a root whose lower bound is past float range is refused before
+    the first evaluation, as is a target 1/V_{n-1} past float range (from
+    n = 437).
 
-    At n = 2 every term is summed one by one, so a root past the term cap
-    K_max is refused before the first sum.  sum_{k <= t} phi(k)/k <=
-    6t/pi^2 + ln t + 3, and partial summation over the decreasing
-    (x - k^2/y^2)^(1/2) gives F_2(x, y) <= 3xy/(2 pi) + (ln K + 3) sqrt(x)
-    over K terms; so a root with K <= K_max needs more than
-    (pi / (3 sqrt(x))) (1 - 2 (ln K_max + 3) sqrt(x)) - 1 terms.
+    At n = 2 every term is summed one by one.  For x <= 1 the root lies
+    below 2 est (Y_2 / est tends to zeta(2), and measured at most 1.82), so
+    from est the solver doubles the bracket at most once, and a doubled
+    bracket past the term cap is refused before the first sum.
     """
     _check_nx("eval_Y", n, x)
     volume = numth.ball_volume(n - 1)
@@ -127,13 +130,11 @@ def eval_Y(n: int, x: float) -> float:
     except OverflowError as exc:
         raise InputError(f"Y_{n}({x}) lies past float range") from exc
     lo = 1.0 / math.sqrt(x)
+    hi = max(2.0 * lo, est)
     if n == 2:
-        r = math.sqrt(x)
-        slack = 2.0 * (math.log(numth._MOBIUS_CAP) + 3.0) * r
-        numth.check_mobius_terms(math.pi / (3.0 * r) * (1.0 - slack) - 1.0, f"Y_2({x})")
+        numth.check_mobius_terms(2.0 * math.sqrt(x) * hi, f"Y_2({x})")
     return numth.bisect_increasing(
-        lambda y: eval_F(n, x, y), 1.0 / volume,
-        lo, max(2.0 * lo, 1.0, est), rtol=0.0, what="eval_Y",
+        lambda y: eval_F(n, x, y), 1.0 / volume, lo, hi, rtol=0.0, what="eval_Y",
     )
 
 
@@ -149,7 +150,9 @@ def eval_C(n: int, x: float) -> float:
     t in [t(x), t(x/100)]: two `eval_Y` solves find that interval, then
     each sample is one `eval_F`.  The sup is searched on a geometric grid
     over the t-interval with a golden-section refinement of the best
-    bracket; the value at t(x) is taken from x and Y_n(x) directly.
+    bracket; the value at t(x) is taken from x and Y_n(x) directly.  A
+    sample whose ξ exceeds x takes no part: near t = 1, float resolution
+    rounds t below t(x), and at t = 1 itself F_n(1, t) is 0.0.
     """
     _check_nx("eval_C", n, x)
     need = f"C_{n}({x}) needs Y_{n}(x/100)"  # a refusal names the x given
@@ -165,9 +168,11 @@ def eval_C(n: int, x: float) -> float:
     t_hi = math.sqrt(x / 100.0) * y_left
     y_right = eval_Y(n, x)
     t_lo = math.sqrt(x) * y_right
+    x_p = x ** ((n - 1) / 2.0)  # a float: eval_F computed it to solve for Y_n(x)
 
     def value(t):
-        return (t / (vol * eval_F(n, 1.0, t))) ** (2.0 / n)
+        scaled = vol * eval_F(n, 1.0, t)  # ξ^(-p)
+        return (t / scaled) ** (2.0 / n) if scaled * x_p >= 1.0 else 0.0
 
     points = 256
     ratio = (t_hi / t_lo) ** (1.0 / (points - 1))
@@ -304,7 +309,8 @@ def marin_chain(n: int, delta_prev: float, delta_cur: float):
     """
     lhs = _lhs_center(n, delta_prev, delta_cur)
     step = delta_prev / (2.0 * delta_cur)
-    mid = step * numth.cap_sum(step, (n - 1) / 2.0)
+    # an inf step leaves the sum empty: 0.0, as in stage 1, not inf * 0
+    mid = step * numth.cap_sum(step, (n - 1) / 2.0) if step < math.inf else 0.0
     mid *= 2.0**n * delta_cur * numth.ball_volume(n - 1)
     rhs = 2.0 ** (n - 1) * delta_cur * numth.ball_volume(n)
     return lhs, mid, rhs

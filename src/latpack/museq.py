@@ -217,17 +217,18 @@ def greedy_entry_bounds(mu: int, n: int):
     """The two displayed upper bounds on the n-th greedy entry.
 
     Returns (1 + sqrt(mu-2) sqrt(mu-1+n/4)^n V_n, sqrt(mu) sqrt(mu+n/4)^n V_n),
-    evaluated through logs so large n cannot overflow.
+    evaluated through logs; a bound past float range is inf (the second
+    from n = 978 at mu = 2, and from smaller n at larger mu).
     """
     logv = numth.log_ball_volume(n)
-    if mu == 2:
-        first = 1.0
-    else:
-        first = 1.0 + math.exp(
-            0.5 * math.log(mu - 2) + (n / 2.0) * math.log(mu - 1 + n / 4.0) + logv
-        )
-    second = math.exp(0.5 * math.log(mu) + (n / 2.0) * math.log(mu + n / 4.0) + logv)
-    return first, second
+
+    def bound(a, b):  # sqrt(a) sqrt(b + n/4)^n V_n
+        try:
+            return math.exp(0.5 * math.log(a) + (n / 2.0) * math.log(b + n / 4.0) + logv)
+        except OverflowError:
+            return math.inf
+
+    return (1.0 if mu == 2 else 1.0 + bound(mu - 2, mu - 1)), bound(mu, mu)
 
 
 def greedy_density_bound(mu: int, n: int) -> float:

@@ -6,6 +6,7 @@ from scipy import special
 
 from latpack import bounds, numth
 from latpack.errors import InputError, ResourceBudgetError
+from test_numth import plain_bisect
 
 SQRT3 = math.sqrt(3.0)
 
@@ -105,13 +106,13 @@ class TestEvalY:
         assert bounds.eval_Y(5, x) == pytest.approx(expected, rel=1e-12)
 
     def test_n2_refused_before_the_first_sum(self, monkeypatch):
-        """Y_2(1e-12) needs over 10^6 terms: refused from the upper bound on
-        F_2 before any Moebius weight is computed."""
+        """The bracket doubled from est = 2 / (pi x) at x = 1e-12 needs
+        4e6 / pi terms: refused before any Moebius weight is computed."""
         def weight(k, n):
             raise AssertionError(f"weight {k} computed")
 
         monkeypatch.setattr(numth, "mobius_weight", weight)
-        with pytest.raises(ResourceBudgetError, match=r"Y_2\(1e-12\) needs 1.05e\+06 terms"):
+        with pytest.raises(ResourceBudgetError, match=r"Y_2\(1e-12\) needs 1.27e\+06 terms"):
             bounds.eval_Y(2, 1e-12)
 
     # 1/V_(n-1) is inf from n = 437 and V_(n-1) is 0.0 from n = 454
@@ -132,17 +133,26 @@ class TestEvalY:
         assert math.isfinite(target) and math.isfinite(y)
         assert bounds.eval_F(436, 10.0, y) == pytest.approx(target, rel=1e-12)
 
-    @pytest.mark.parametrize("x", [1e-8, 1e-6, 1e-4, 1e-2])
-    def test_n2_term_bound_is_below_the_root(self, monkeypatch, x):
-        """The refusal's lower bound on the root's term count floor(sqrt(x) Y_2(x))
-        holds, within the 2 (ln 10^6 + 3) pi / 3 ~ 35 terms that its error
-        term costs."""
-        bound = []
-        check = numth.check_mobius_terms
-        monkeypatch.setattr(numth, "check_mobius_terms",
-                            lambda terms, what: bound.append(terms) or check(terms, what))
-        terms = math.floor(math.sqrt(x) * bounds.eval_Y(2, x))
-        assert 0 < terms - bound[0] < 40
+    # Y_2 / est is 1.645 from x = 1e-8 on, near zeta(2); 1e-11 and 2e-12
+    # (up to 15 s each) give the same
+    @pytest.mark.parametrize("x", [1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_n2_root_lies_below_twice_the_bound(self, x):
+        """est < Y_2(x) < 2 est: one doubling of the bracket reaches the root,
+        so the refusal of that doubling refuses only roots past the term cap."""
+        est = 2.0 / (math.pi * x)
+        assert est < bounds.eval_Y(2, x) < 2.0 * est
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 5, 9, 25, 60]), st.floats(-3.0, 4.0))
+    def test_same_float_as_from_a_bracket_floored_at_1(self, n, log_x):
+        """Solving to float spacing, the bracket changes the work, not the
+        float: plain bisection from max(2/sqrt(x), 1.0, est) agrees."""
+        x = 10.0**log_x
+        lo = 1.0 / math.sqrt(x)
+        est = math.exp(math.log(2.0) - numth.log_ball_volume(n) - (n / 2.0) * math.log(x))
+        target = 1.0 / numth.ball_volume(n - 1)
+        assert bounds.eval_Y(n, x) == plain_bisect(
+            lambda y: bounds.eval_F(n, x, y), target, lo, max(2.0 * lo, 1.0, est), 0.0, "eval_Y")
 
 
 def _eval_C_xi_grid(n, x):
@@ -198,7 +208,7 @@ class TestEvalC:
         assert len(f_calls) <= 450
 
     # a refusal of the Y_n(x/100) solve names the x given and keeps the rest
-    @pytest.mark.parametrize("n,x,error", [(2, 1e-10, ResourceBudgetError), (3, 1e300, InputError)])
+    @pytest.mark.parametrize("n,x,error", [(2, 1e-10, ResourceBudgetError), (25, 1e50, InputError)])
     def test_left_edge_refusal_names_the_x_given(self, n, x, error):
         with pytest.raises(error) as inner:
             bounds.eval_Y(n, x / 100.0)
@@ -220,6 +230,28 @@ class TestEvalC:
         old = _eval_C_xi_grid(n, x)
         new = bounds.eval_C(n, x)
         assert old * (1.0 - 4.0 * math.ulp(1.0)) <= new <= old * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 25, 60])
+def test_answers_or_refuses_across_float_range(n):
+    """eval_Y and eval_C at x = 10^k, k = 0, 10, ..., 300, answer or refuse
+    with InputError or ResourceBudgetError.  From x = 1e14 on, F_n at the
+    root has its k = 1 term alone, (x - 1/y^2)^p = 1/V_(n-1): an answer is
+    within 4 ulps of Y_n = (x - c)^(-1/2) or C_n = x (x - c)^(-1/n), with
+    c = V_(n-1)^(-2/(n-1)).  Near 10^15, t(x) and t(x/100) lie a few floats
+    above 1, and a t-sample rounded below t(x) has its ξ past x and a
+    value up to 60% above C_n(x)."""
+    c = numth.ball_volume(n - 1) ** (-2.0 / (n - 1))
+    for k in (*range(0, 301, 10), 14.5, 14.75, 15.25):
+        x = 10.0**k
+        for evaluate, exponent in ((bounds.eval_Y, -0.5), (bounds.eval_C, -1.0 / n)):
+            try:
+                got = evaluate(n, x)
+            except (InputError, ResourceBudgetError):
+                continue
+            if x >= 1e14:
+                closed = (x if evaluate is bounds.eval_C else 1.0) * (x - c) ** exponent
+                assert abs(got - closed) <= 4.0 * math.ulp(closed), (evaluate.__name__, x)
 
 
 class TestConvert:
@@ -313,6 +345,14 @@ class TestMarinChain:
         )
         assert lhs <= mid + 1e-12
         assert mid <= rhs + 1e-12
+
+    def test_empty_middle_sum_at_an_inf_step(self):
+        """delta_prev / (2 delta_cur) is inf: stage 2's sum is empty, 0.0 as
+        stage 1's is, and the residual of the lifting inequality is -1."""
+        lhs, mid, rhs = bounds.marin_chain(2, 1e300, 5e-324)
+        assert (lhs, mid) == (0.0, 0.0)
+        assert rhs == pytest.approx(2.0 * 5e-324 * math.pi, rel=0.2)  # a subnormal
+        assert bounds.check_theorem1(2, 1e300, 5e-324) == -1.0
 
     @pytest.mark.parametrize("n,prev,cur", [
         (2000, 0.5, 0.5),  # 2^(n-1) overflows

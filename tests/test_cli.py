@@ -117,6 +117,16 @@ RUNS = (
     # Y_3(1e-100) ~ 5.74e149 answers
     Run("bounds y --n 2 --x 1e-12", 2, timeout=5),
     Run("bounds y --n 3 --x 1e-100"),
+    # the bracket doubled from est = 2 / (pi x) is past the cap, though est is not
+    Run("bounds y --n 2 --x 1.3e-12", 2, timeout=2, peak_mb=40,
+        check=lambda err: "Y_2(1.3e-12) needs 1.12e+06 terms" in err),
+    # Y_n(x) for large x lies just above 1/sqrt(x), where the bracket starts
+    Run("bounds y --n 3 --x 1e200", timeout=2),
+    Run("bounds y --n 2 --x 1e200"),
+    # past float resolution the t-samples round to t = 1, where F_n(1, t) is
+    # 0.0: they take no part, and C_n(x) is x Y_n(x)^(2/n)
+    *(Run(f"bounds cn --n {n} --x {x}") for n, x in ((5, "1e30"), (2, "1e30"), (3, "1e300"))),
+    Run("bounds cn --n 25 --x 1e50", 1, check=lambda err: "F_25(1e+48, " in err),
     # (5, 24) is admitted by the exact ball count; the norm bounds the obstruction stream
     Run("museq greedy --mu 5 --dim 24", timeout=30),
     Run("museq obstructions --s 1,2 --mu 3 --lo 1 --hi 1e300", timeout=30),
@@ -162,7 +172,6 @@ RUNS = (
     Run("theta table --max-n 1000000000", 2, timeout=10),
     Run("theta fit --ladder 1,2,3,1000000000", 2, timeout=10),
     Run("bounds f --n 3 --x 1e300 --y 1e10", 1),  # F overflows a float
-    Run("bounds cn --n 3 --x 1e300", 1),  # F_3 at x/100 overflows
     Run("bounds cn --n 5 --x 5e-324", 1, check=lambda err: "C_5(5e-324)" in err),  # x/100 is 0
     Run("bounds y --n 25 --x 1e-30", 1),  # Y_25 lies past float range
     # 1/V_(n-1) is inf from n = 437, and V_(n-1) is 0.0 from n = 454

@@ -363,6 +363,13 @@ class TestGreedy:
         assert second == pytest.approx(math.sqrt(mu) * math.sqrt(mu + n / 4.0) ** n * v,
                                        rel=1e-12)
 
+    @pytest.mark.parametrize("n", [979, 1000, 2000])
+    @pytest.mark.parametrize("mu", [2, 3])
+    def test_entry_bounds_past_float_range_are_inf(self, mu, n):
+        first, second = museq.greedy_entry_bounds(mu, n)
+        assert second == math.inf
+        assert first == (1.0 if mu == 2 else math.inf)
+
     @given(st.integers(min_value=2, max_value=100), st.integers(min_value=1, max_value=60))
     def test_density_bound_matches_the_displayed_formula(self, mu, n):
         direct = (1.0 + n / (4.0 * mu)) ** (-n / 2.0) / (2.0**n * math.sqrt((n + 1) * mu))
