@@ -1,12 +1,13 @@
 """Number-theoretic and geometric scalar primitives.
 
-Moebius function and divisor-weighted sums from one smallest-prime-factor
-table, the one cap sum behind F_n, the lifting inequality, the majorization
-chain and f_n, unit-ball volumes via log-Gamma (safe up to dimensions in
-the thousands), the ball-point counting bound and the exact counts by
-norm (the theta series coefficients) used to budget the museq ball
-table, and the root solver behind Y_n, psi and f_n: one bisection loop
-whose midpoints an Illinois bracket decides wherever it can.
+Moebius function and F_n's Moebius weights, each one correctly rounded ratio
+of exact integers, from one smallest-prime-factor table, the one cap sum
+behind F_n, the lifting inequality, the majorization chain and f_n,
+unit-ball volumes via log-Gamma (safe up to dimensions in the thousands),
+the ball-point counting bound and the exact counts by norm (the theta series
+coefficients) used to budget the museq ball table, and the root solver
+behind Y_n, psi and f_n: one bisection loop whose midpoints an Illinois
+bracket decides wherever it can.
 """
 
 import math
@@ -66,21 +67,19 @@ def check_mobius_terms(terms: float, what: str) -> None:
 
 @lru_cache(maxsize=None)
 def mobius_weight(k: int, n: int) -> float:
-    """The factor sum_{l | k} mu(l) / l^(n-1) = prod_{p | k} (1 - 1/p^(n-1)),
-    summed over the squarefree l ascending (the others add exact zeros)."""
+    """prod_{p | k} (1 - p^-m) = sum_{l | k} mu(l) / l^m, m = n - 1, as one
+    correctly rounded int/int ratio.  m stops at 64: from m = 55 on, 1 minus
+    the product is at most sum_{j >= 2} j^-m < 2^-54, so it rounds to 1.0."""
     if n < 2:
         raise InputError(f"mobius_weight requires n >= 2, got {n}")
     spf = _factor_table(k)
-    terms = [(1, 1)]  # (l, mu(l)) over the squarefree divisors l of k
+    m, num, den = min(n - 1, 64), 1, 1
     while k > 1:
         p = spf[k]
-        terms += [(l * p, -mu) for l, mu in terms]
+        num, den = num * (p**m - 1), den * p**m
         while k % p == 0:
             k //= p
-    total = 0.0  # left to right: sum() of floats is compensated from Python 3.12
-    for l, mu in sorted(terms):
-        total += mu / l ** (n - 1)
-    return total
+    return num / den
 
 
 def cap_sum(h: float, p: float, n: int | None = None) -> float:

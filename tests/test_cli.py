@@ -120,6 +120,9 @@ RUNS = (
     # the bracket doubled from est = 2 / (pi x) is past the cap, though est is not
     Run("bounds y --n 2 --x 1.3e-12", 2, timeout=2, peak_mb=40,
         check=lambda err: "Y_2(1.3e-12) needs 1.12e+06 terms" in err),
+    # each weight is one int/int ratio, its exponent capped past float resolution
+    Run("bounds f --n 1000000 --x 1 --y 200", timeout=2,
+        check=lambda out: out["F"] == 3.726117495065839e-06),
     # Y_n(x) for large x lies just above 1/sqrt(x), where the bracket starts
     Run("bounds y --n 3 --x 1e200", timeout=2),
     Run("bounds y --n 2 --x 1e200"),
@@ -269,7 +272,7 @@ RUNS = (
     # C_60(2) beats Minkowski-Hlawka's 2^(1-n) as a density
     Run("bounds cn --n 60 --x 2.0",
         check=lambda out: bounds.convert("hermite", "density", out["C"], 60) >= 2.0 ** -59),
-    # the float sums where a compensated sum() would differ in the last place
+    # F's Moebius weights, correctly rounded where summing the divisor terms was not
     Run("bounds f --n 2 --x 1 --y 1000"),
     Run("bounds f --n 3 --x 2 --y 5000"),
     Run("bounds y --n 2 --x 1e-06"),

@@ -1,5 +1,6 @@
 import math
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,18 +56,18 @@ def _mobius_oracle(k):
 
 
 def _mobius_weight_oracle(k, n):
-    """sum_{l | k} mu(l) / l^(n-1) over every divisor l, ascending."""
+    """sum_{l | k} mu(l) / l^(n-1) over every divisor l, exact, then rounded."""
     small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
     divisors = small + [k // d for d in reversed(small) if d * d != k]
-    return sum(_mobius_oracle(l) / l ** (n - 1) for l in divisors)
+    return float(sum(Fraction(_mobius_oracle(l), l ** (n - 1)) for l in divisors))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=2**19), min_size=1, max_size=6),
-       st.sampled_from((2, 3, 9, 25, 2000)), st.booleans())
+       st.sampled_from((2, 3, 9, 25, 55, 56, 2000)), st.booleans())
 def test_factor_table_matches_trial_division(ks, n, descending):
-    """Bit-identical to trial division, on a table grown from empty by
-    ascending or descending arguments."""
+    """Equal to trial division and the exact divisor sum, on a table grown
+    from empty by ascending or descending arguments."""
     table = numth._SPF
     numth._SPF = array("i", [0, 1])
     numth.mobius.cache_clear()
@@ -81,10 +82,26 @@ def test_factor_table_matches_trial_division(ks, n, descending):
         numth.mobius_weight.cache_clear()
 
 
+def _phi(k):
+    """Euler's phi(k) by trial division, in integers."""
+    phi, p = k, 2
+    while p * p <= k:
+        if k % p == 0:
+            phi -= phi // p
+            while k % p == 0:
+                k //= p
+        p += 1
+    return phi - phi // k if k > 1 else phi
+
+
 def test_mobius_weight_examples():
+    """Correctly rounded: phi(k) / k at n = 2, and 1.0 once m = n - 1 >= 55."""
     assert numth.mobius_weight(1, 5) == 1.0
-    assert numth.mobius_weight(2, 3) == pytest.approx(0.75)
-    assert numth.mobius_weight(6, 2) == pytest.approx(1.0 / 3.0)
+    assert numth.mobius_weight(2, 3) == 0.75
+    assert [numth.mobius_weight(k, 2) for k in range(1, 2001)] == [
+        _phi(k) / k for k in range(1, 2001)]
+    assert numth.mobius_weight(30030, 55) == 0.9999999999999999
+    assert all(numth.mobius_weight(k, 56) == 1.0 for k in range(1, 2001))
 
 
 @given(st.integers(min_value=1, max_value=200),
