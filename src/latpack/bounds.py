@@ -55,16 +55,13 @@ def _eval_F_large(n, x, y, kmax):
     sqx = math.sqrt(x)
     lmax = min(kmax, max(2, math.ceil((1e13 / (n - 1)) ** (1.0 / (n - 1)))), 30000)
     g0 = x**p
+    mu = numth.mobius_table(lmax)
     total = 0.0
     for l in range(1, lmax + 1):
-        weight = numth.mobius(l)
-        if weight == 0:
+        if mu[l] == 0:
             continue
-        m_count = kmax // l
-        if m_count == 0:
-            break
         h = l / y
-        b = min(m_count * h, sqx)
+        b = min(kmax // l * h, sqx)  # kmax // l >= 1: l <= lmax <= kmax
         # g'(b) = -(n-1) b (x - b^2)^((n-3)/2) stays -2b at n = 3 where b
         # reaches sqrt(x): with the base clamped at 0, 0.0 ** 0.0 is 1.
         base = max(x - b * b, 0.0)
@@ -72,7 +69,7 @@ def _eval_F_large(n, x, y, kmax):
         g_b = base**p
         gp_b = -(n - 1) * b * base ** ((n - 3) / 2.0)
         s_l = integral / h + 0.5 * (g_b - g0) + (h / 12.0) * gp_b
-        total += weight / l ** (n - 1) * s_l
+        total += mu[l] / l ** (n - 1) * s_l
     return total
 
 
@@ -88,7 +85,7 @@ def eval_F(n: int, x: float, y: float) -> float:
     _check_nx("eval_F", n, x)
     if not 0.0 <= y < math.inf:
         raise InputError(f"eval_F requires a finite y >= 0, got {y}")
-    if y == 0.0 or y <= 1.0 / math.sqrt(x):
+    if y <= 1.0 / math.sqrt(x):
         return 0.0
     terms = math.sqrt(x) * y
     # Euler-Maclaurin converges like the (n-3)rd derivative at the cell

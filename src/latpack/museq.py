@@ -257,6 +257,7 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec):
     det = lattice.determinant(s)  # |s|^2
     vmax = math.isqrt((mu - 2) * det)
     ks = range(1, math.isqrt(mu - 1) + 1)
+    moebius = numth.mobius_table(len(ks))
     obstructed, witness_counts, residue_counts = {}, {}, {}
     for k in ks:
         # integer dots in [k lo, k hi], capped by vmax >= |<z, s>|
@@ -269,9 +270,9 @@ def interval_obstructions(s: SVector, mu: int, interval: IntervalSpec):
                 ik.add(v // k)
         primitive = counts[0]
         for h in range(2, k + 1):
-            if k % h == 0 and numth.mobius(h):
+            if k % h == 0 and moebius[h]:
                 hits = _dot_hits(rows, e, top // (h * h), -(-a // h), b // h)
-                primitive += numth.mobius(h) * sum(c for v, c in hits if v % (k // h) == 0)
+                primitive += moebius[h] * sum(c for v, c in hits if v % (k // h) == 0)
         obstructed[k] = sorted(ik)
         witness_counts[k] = (counts[0] // 2, primitive // 2)
         residue_counts[k] = [c // 2 for c in counts]

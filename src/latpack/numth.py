@@ -1,7 +1,7 @@
 """Number-theoretic and geometric scalar primitives.
 
-Moebius function and F_n's Moebius weights, each one correctly rounded ratio
-of exact integers, from one smallest-prime-factor table, the one cap sum
+Arrays of mu(k) and of F_n's Moebius weights (each one correctly rounded
+ratio of integers) off one smallest-prime-factor table, the one cap sum
 behind F_n, the lifting inequality, the majorization chain and f_n,
 unit-ball volumes via log-Gamma (safe up to dimensions in the thousands),
 the ball-point counting bound and the exact counts by norm (the theta series
@@ -12,16 +12,17 @@ bracket decides wherever it can.
 
 import math
 from array import array
-from functools import lru_cache
 
 from .errors import InputError, ResourceBudgetError
 
-#: The largest Moebius argument, where the factor table stops (4 MB),
-#: and the most terms a Moebius-weighted sum may have.
+#: The largest Moebius argument, where the tables stop (5 MB, and 8 MB for
+#: each weight exponent), and the most terms a Moebius-weighted sum may have.
 _MOBIUS_CAP = 10**6
 
-#: _SPF[k] is the smallest prime factor of k >= 2.
+#: _SPF[k] is k's smallest prime factor, _MU[k] is mu(k), _WEIGHTS[m][k] is w(k).
 _SPF = array("i", [0, 1])
+_MU = array("b", [0, 1])
+_WEIGHTS = {}
 
 
 def _factor_table(k: int) -> array:
@@ -41,18 +42,13 @@ def _factor_table(k: int) -> array:
     return _SPF
 
 
-@lru_cache(maxsize=None)
-def mobius(k: int) -> int:
-    """Moebius function mu(k) in {-1, 0, 1}."""
+def mobius_table(k: int) -> array:
+    """`_MU`, grown to cover k off `_factor_table`(k)."""
     spf = _factor_table(k)
-    mu = 1
-    while k > 1:
-        p = spf[k]
-        k //= p
-        if spf[k] == p:
-            return 0
-        mu = -mu
-    return mu
+    for j in range(len(_MU), k + 1):  # j = p r, p = spf[j]: mu(j) is 0 if p | r, else -mu(r)
+        p, r = spf[j], j // spf[j]
+        _MU.append(0 if spf[r] == p else -_MU[r])
+    return _MU
 
 
 def check_mobius_terms(terms: float, what: str) -> None:
@@ -65,40 +61,45 @@ def check_mobius_terms(terms: float, what: str) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def mobius_weight(k: int, n: int) -> float:
-    """prod_{p | k} (1 - p^-m) = sum_{l | k} mu(l) / l^m, m = n - 1, as one
-    correctly rounded int/int ratio.  m stops at 64: from m = 55 on, 1 minus
-    the product is at most sum_{j >= 2} j^-m < 2^-54, so it rounds to 1.0."""
+def mobius_weights(n: int, k: int) -> array:
+    """w[j] = prod_{p | j} (1 - p^-m) = sum_{l | j} mu(l) / l^m, m = n - 1, as one
+    correctly rounded int/int ratio, for 1 <= j <= k at least.  m stops at 64: from
+    m = 55 on, 1 minus w[j] is at most sum_{i >= 2} i^-m < 2^-54, so it rounds to 1.0."""
     if n < 2:
-        raise InputError(f"mobius_weight requires n >= 2, got {n}")
+        raise InputError(f"mobius_weights requires n >= 2, got {n}")
     spf = _factor_table(k)
-    m, num, den = min(n - 1, 64), 1, 1
-    while k > 1:
-        p = spf[k]
-        num, den = num * (p**m - 1), den * p**m
-        while k % p == 0:
-            k //= p
-    return num / den
+    m = min(n - 1, 64)
+    w = _WEIGHTS.setdefault(m, array("d", [0.0, 1.0]))
+    for j in range(len(w), k + 1):
+        num, den, r = 1, 1, j
+        while r > 1:
+            p = spf[r]
+            q = p**m
+            num, den = num * (q - 1), den * q
+            while r % p == 0:
+                r //= p
+        w.append(num / den)
+    return w
 
 
 def cap_sum(h: float, p: float, n: int | None = None) -> float:
     """sum_{k >= 1, (k h)^2 < 1} w(k) (1 - (k h)^2)^p, where w(k) is
-    `mobius_weight`(k, n) when n is given and 1 when it is not.
+    `mobius_weights`(n, k)[k] when n is given and 1 when it is not.
 
     The sum has about 1/h terms; past `_MOBIUS_CAP` of them (h = 0 or
     1/h not finite included) it is refused before the first term.
     """
     terms = 1.0 / h if h > 0.0 else math.inf
     check_mobius_terms(terms, "the term-by-term sum")
+    kmax = math.floor(terms)  # k h < 1 gives k < 1/h, so k <= fl(1/h): no term is missed
+    w = None if n is None else mobius_weights(n, max(kmax, 1))
     total = 0.0
-    # k h < 1 gives k < 1/h, so k <= fl(1/h): no term is missed.
-    for k in range(1, math.floor(terms) + 1):
+    for k in range(1, kmax + 1):
         t = (k * h) ** 2
         if t >= 1.0:  # fl(k h) is nondecreasing in k
             break
         term = math.exp(p * math.log1p(-t))
-        total += term if n is None else mobius_weight(k, n) * term
+        total += term if w is None else w[k] * term
     return total
 
 

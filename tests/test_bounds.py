@@ -108,10 +108,10 @@ class TestEvalY:
     def test_n2_refused_before_the_first_sum(self, monkeypatch):
         """The bracket doubled from est = 2 / (pi x) at x = 1e-12 needs
         4e6 / pi terms: refused before any Moebius weight is computed."""
-        def weight(k, n):
-            raise AssertionError(f"weight {k} computed")
+        def weights(n, k):
+            raise AssertionError(f"weights to {k} computed")
 
-        monkeypatch.setattr(numth, "mobius_weight", weight)
+        monkeypatch.setattr(numth, "mobius_weights", weights)
         with pytest.raises(ResourceBudgetError, match=r"Y_2\(1e-12\) needs 1.27e\+06 terms"):
             bounds.eval_Y(2, 1e-12)
 

@@ -21,13 +21,13 @@ RTOL = 1e-13
 
 def power_sum(kmax, base, p, n=None):
     """sum_{k <= kmax} w(k) base(k)^p, skipping base(k) <= 0, with
-    w = `numth.mobius_weight`(k, n), or 1 when n is None."""
+    w = `numth.mobius_weights`(n, k)[k], or 1 when n is None."""
     total = 0.0
     for k in range(1, kmax + 1):
         b = base(k)
         if b <= 0.0:
             continue
-        total += (1.0 if n is None else numth.mobius_weight(k, n)) * b**p
+        total += (1.0 if n is None else numth.mobius_weights(n, k)[k]) * b**p
     return total
 
 

@@ -120,6 +120,9 @@ RUNS = (
     # the bracket doubled from est = 2 / (pi x) is past the cap, though est is not
     Run("bounds y --n 2 --x 1.3e-12", 2, timeout=2, peak_mb=40,
         check=lambda err: "Y_2(1.3e-12) needs 1.12e+06 terms" in err),
+    # about 1.3e5 weights, read from one array: about 18 MB peak RSS, where a
+    # cache entry per (k, n) took 38 MB
+    Run("bounds y --n 2 --x 1e-10", timeout=5, peak_mb=25),
     # each weight is one int/int ratio, its exponent capped past float resolution
     Run("bounds f --n 1000000 --x 1 --y 200", timeout=2,
         check=lambda out: out["F"] == 3.726117495065839e-06),

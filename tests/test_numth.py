@@ -1,3 +1,4 @@
+import contextlib
 import math
 from array import array
 from fractions import Fraction
@@ -14,31 +15,34 @@ MOBIUS_FIRST_20 = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1,
 
 
 def test_mobius_small_values():
-    assert numth.mobius(1) == 1
-    assert numth.mobius(12) == 0
-    assert numth.mobius(30) == -1
-    assert [numth.mobius(k) for k in range(1, 21)] == MOBIUS_FIRST_20
+    mu = numth.mobius_table(30)
+    assert mu[1] == 1
+    assert mu[12] == 0
+    assert mu[30] == -1
+    assert list(mu[1:21]) == MOBIUS_FIRST_20
 
 
 def test_mobius_rejects_nonpositive():
     with pytest.raises(InputError):
-        numth.mobius(0)
+        numth.mobius_table(0)
     with pytest.raises(InputError):
-        numth.mobius(-3)
+        numth.mobius_table(-3)
 
 
 def test_mobius_rejects_past_the_cap():
     with pytest.raises(InputError):
-        numth.mobius(numth._MOBIUS_CAP + 1)
+        numth.mobius_table(numth._MOBIUS_CAP + 1)
     with pytest.raises(InputError):
-        numth.mobius_weight(numth._MOBIUS_CAP + 1, 2)
+        numth.mobius_weights(2, numth._MOBIUS_CAP + 1)
 
 
+@settings(deadline=None)  # an early example may fill `_MU` to 250,000
 @given(st.integers(min_value=1, max_value=500),
        st.integers(min_value=1, max_value=500))
 def test_mobius_multiplicative_on_coprime(a, b):
     if math.gcd(a, b) == 1:
-        assert numth.mobius(a * b) == numth.mobius(a) * numth.mobius(b)
+        mu = numth.mobius_table(a * b)
+        assert mu[a * b] == mu[a] * mu[b]
 
 
 def _mobius_oracle(k):
@@ -62,24 +66,41 @@ def _mobius_weight_oracle(k, n):
     return float(sum(Fraction(_mobius_oracle(l), l ** (n - 1)) for l in divisors))
 
 
+@contextlib.contextmanager
+def empty_tables():
+    """`numth`'s three tables emptied, and restored together afterwards."""
+    tables = numth._SPF, numth._MU, numth._WEIGHTS
+    numth._SPF, numth._MU, numth._WEIGHTS = array("i", [0, 1]), array("b", [0, 1]), {}
+    try:
+        yield
+    finally:
+        numth._SPF, numth._MU, numth._WEIGHTS = tables
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=2**19), min_size=1, max_size=6),
        st.sampled_from((2, 3, 9, 25, 55, 56, 2000)), st.booleans())
 def test_factor_table_matches_trial_division(ks, n, descending):
-    """Equal to trial division and the exact divisor sum, on a table grown
+    """Equal to trial division and the exact divisor sum, on tables grown
     from empty by ascending or descending arguments."""
-    table = numth._SPF
-    numth._SPF = array("i", [0, 1])
-    numth.mobius.cache_clear()
-    numth.mobius_weight.cache_clear()
-    try:
+    with empty_tables():
         for k in sorted(ks, reverse=descending):
-            assert numth.mobius(k) == _mobius_oracle(k)
-            assert numth.mobius_weight(k, n) == _mobius_weight_oracle(k, n)
-    finally:
-        numth._SPF = table
-        numth.mobius.cache_clear()
-        numth.mobius_weight.cache_clear()
+            assert numth.mobius_table(k)[k] == _mobius_oracle(k)
+            assert numth.mobius_weights(n, k)[k] == _mobius_weight_oracle(k, n)
+
+
+@pytest.mark.parametrize("n", (2, 55, 56, 2000))
+def test_tables_reach_the_cap(n):
+    """Grown from empty to `_MOBIUS_CAP`, where the last doubling stops
+    short, the tables end at the cap, and their top entries equal trial
+    division and the exact divisor sum, on each side of the rounding rule."""
+    cap = numth._MOBIUS_CAP
+    with empty_tables():
+        mu, w = numth.mobius_table(cap), numth.mobius_weights(n, cap)
+        assert len(numth._SPF) == len(mu) == len(w) == cap + 1
+        for k in range(cap - 100, cap + 1):
+            assert mu[k] == _mobius_oracle(k)
+            assert w[k] == _mobius_weight_oracle(k, n)
 
 
 def _phi(k):
@@ -96,12 +117,12 @@ def _phi(k):
 
 def test_mobius_weight_examples():
     """Correctly rounded: phi(k) / k at n = 2, and 1.0 once m = n - 1 >= 55."""
-    assert numth.mobius_weight(1, 5) == 1.0
-    assert numth.mobius_weight(2, 3) == 0.75
-    assert [numth.mobius_weight(k, 2) for k in range(1, 2001)] == [
+    assert numth.mobius_weights(5, 1)[1] == 1.0
+    assert numth.mobius_weights(3, 2)[2] == 0.75
+    assert list(numth.mobius_weights(2, 2000)[1:2001]) == [
         _phi(k) / k for k in range(1, 2001)]
-    assert numth.mobius_weight(30030, 55) == 0.9999999999999999
-    assert all(numth.mobius_weight(k, 56) == 1.0 for k in range(1, 2001))
+    assert numth.mobius_weights(55, 30030)[30030] == 0.9999999999999999
+    assert all(w == 1.0 for w in numth.mobius_weights(56, 2000)[1:2001])
 
 
 @given(st.integers(min_value=1, max_value=200),
@@ -118,7 +139,7 @@ def test_mobius_weight_euler_product(k, n):
         p += 1
     if m > 1:
         product *= 1.0 - m ** -(n - 1)
-    assert numth.mobius_weight(k, n) == pytest.approx(product, rel=1e-12)
+    assert numth.mobius_weights(n, k)[k] == pytest.approx(product, rel=1e-12)
 
 
 def test_ball_volume_closed_forms():
