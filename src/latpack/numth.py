@@ -7,7 +7,8 @@ unit-ball volumes via log-Gamma (safe up to dimensions in the thousands),
 the ball-point counting bound and the exact counts by norm (the theta series
 coefficients) used to budget the museq ball table, and the root solver
 behind Y_n, psi and f_n: one bisection loop whose midpoints an Illinois
-bracket decides wherever it can.
+bracket decides wherever it can, started next to the root when the caller
+has a guess.
 """
 
 import math
@@ -150,75 +151,155 @@ def theta_coefficients(n: int, mu: int) -> list[int]:
 #: close to the Illinois bracket instead of deciding them.
 _NOISE_ULPS = 16
 
+#: The most points a walk from a guess calls; a walk that has not crossed
+#: the root by then leaves the rest to the doublings and the bisection.
+_WALK_CALLS = 64
 
-def bisect_increasing(f, target, lo, hi, rtol, what) -> float:
+#: A walk's second point lies this many stop widths from the guess: far
+#: enough that f's rounding barely tilts the secant through the two (at one
+#: stop width, f_step's secant roots missed by 1-8 stop widths), near
+#: enough that its curvature does not.
+_PROBE_STOPS = 100
+
+
+def _walk(g, lo, x, stop):
+    """The bracket a < b, g(a) < 0 <= g(b), of the points a walk from
+    x > lo calls: x, then x `_PROBE_STOPS` stop widths towards the root,
+    then a quarter stop width past the secant root of those two, then steps
+    that double, until a point lands on the root's far side or the walk
+    would reach lo.  g(lo) < 0 is given: a = lo has g(a) = -inf, and
+    b = inf has g(b) = inf."""
+    a, ga, b, gb = lo, -math.inf, math.inf, math.inf
+    gx = g(x)
+    up = gx < 0
+    if not up:
+        stop = -stop
+    step = _PROBE_STOPS * stop
+    for calls in range(1, _WALK_CALLS + 1):
+        if gx < 0:
+            a, ga = x, gx
+        else:
+            b, gb = x, gx
+        if (gx < 0) != up or calls == _WALK_CALLS:
+            break
+        if calls == 2 and gx != g_prev:
+            secant = (x - x_prev) * (gx / (g_prev - gx)) + 0.25 * stop
+            if secant / stop > 0.0:  # False for NaN, or a root behind x
+                step = secant
+        elif calls > 2:
+            step *= 2.0
+        x_prev, g_prev = x, gx
+        x += step
+        if not lo < x < math.inf:
+            break
+        gx = g(x)
+    return a, ga, b, gb
+
+
+def bisect_increasing(f, target, lo, hi, rtol, what, guess=None) -> float:
     """Solve f(y) = target for f nondecreasing as computed, f(lo) < target:
     double hi until f(hi) >= target, then bisect until
     hi - lo <= rtol * max(1, hi) or float spacing; returns the midpoint,
-    the float plain bisection returns.
+    the float plain bisection returns, whatever the guess.
 
     One loop is that bisection.  A bracket a < b with
-    f(a) < target <= f(b) decides, without a call, each midpoint more
-    than `_NOISE_ULPS` ulps outside [a, b].  A midpoint inside (a, b) first
-    narrows the bracket by Illinois steps (regula falsi with the Illinois
-    modification, Dowell & Jarratt 1971) for as long as each cycle of
-    three halves it; then f is called at the midpoint.  Every point lies
-    in the doubled [lo, hi], f(lo) is never called, and f is never called
-    twice at one point.
+    f(a) < target <= f(b) decides, without a call, each doubled hi and
+    each midpoint more than `_NOISE_ULPS` ulps outside [a, b].  A guess
+    in (lo, inf) starts the bracket next to the root by a `_walk` from
+    it; without one, the doublings start it.  A midpoint inside (a, b)
+    first narrows the bracket by Illinois steps (regula falsi with the
+    Illinois modification, Dowell & Jarratt 1971) for as long as each
+    cycle of three halves it; then f is called at the midpoint.  f(lo) is
+    never called, and f is never called twice at one point.
     """
     known = {}  # g = f - target at the points called so far
-    # a is the last hi with f(hi) < target.  An unknown g(a) is -inf: the
-    # secant point is then NaN, so f is called at midpoints until it is known.
-    a, ga = lo, -math.inf
-    gb = known[hi] = f(hi) - target
+
+    def g(x):
+        gx = known.get(x)
+        if gx is None:
+            gx = known[x] = f(x) - target
+        return gx
+
+    # The bracket.  g(lo) < 0 is given, not called: its -inf makes the secant
+    # point NaN, so f is called at midpoints until a is a called point.
+    a, ga, b, gb = lo, -math.inf, math.inf, math.inf
+    if guess is not None and lo < guess < math.inf:
+        a, ga, b, gb = _walk(
+            g, lo, guess, max(rtol * max(1.0, guess), 2 * _NOISE_ULPS * math.ulp(guess)))
+    margin = _NOISE_ULPS * math.ulp(b if b < math.inf else a)
     doublings = 0
-    while gb < 0:
-        a, ga = hi, gb
+    while hi < b + margin:  # else g(hi) >= 0 is decided
+        if hi > a - margin:
+            gh = g(hi)
+            if a < hi < b:
+                if gh < 0:
+                    a, ga = hi, gh
+                else:
+                    b, gb, margin = hi, gh, _NOISE_ULPS * math.ulp(hi)
+            if gh >= 0:
+                break
         hi *= 2.0
         doublings += 1
         if doublings > 200:  # 2^200 times any start still fits a double
             raise InputError(f"{what} bracket expansion failed to converge")
-        gb = known[hi] = f(hi) - target
-    b, margin = hi, _NOISE_ULPS * math.ulp(hi)
-    side, widths = 0, [math.inf] * 3
+    side, w1, w2, w3 = 0, math.inf, math.inf, math.inf  # the last three widths
+    lo_cut, hi_cut = a - margin, b + margin  # g < 0 at or below, g >= 0 at or above
     # max(1, hi) without a call: this loop runs about 44 times a solve
     while hi - lo > rtol * (hi if hi > 1.0 else 1.0):
         mid = 0.5 * (lo + hi)
+        if lo < mid <= lo_cut:
+            lo = mid
+            continue
+        if hi_cut <= mid < hi:
+            hi = mid
+            continue
         if mid <= lo or mid >= hi:
             break
-        if mid <= a - margin:
-            lo = mid
-            continue
-        if mid >= b + margin:
-            hi = mid
-            continue
-        # An Illinois cycle is at most three steps; one that has not
-        # halved the bracket is followed by a call at the midpoint.
-        x, width = mid, b - a
-        if a < mid < b and width <= 0.5 * widths[-3]:
-            # the secant point, kept half a stop width (or an ulp) inside
-            # the bracket, so that a root next to b or a closes it
-            step = max(0.5 * rtol * (b if b > 1.0 else 1.0), math.ulp(b))
-            s = min(max(a + width * (ga / (ga - gb)), a + step), b - step)
-            if a < s < b:  # False for NaN
-                x = s
-        gx = known.get(x)
-        if gx is None:
-            gx = known[x] = f(x) - target
-        if x == mid and gx < 0:
-            lo = mid
-        elif x == mid:
-            hi = mid
-        if a < x < b:
-            widths.append(width)
-            if gx < 0:
-                a, ga = x, gx
-                if side < 0:  # a moved twice running: halve g(b)
-                    gb *= 0.5
-                side = -1
-            else:
-                b, gb, margin = x, gx, _NOISE_ULPS * math.ulp(x)
-                if side > 0:
-                    ga *= 0.5
-                side = 1
+        # Illinois steps until mid is decided, or a cycle of three has not
+        # halved the bracket; then a call at mid
+        while True:
+            x, width = mid, b - a
+            if a < mid < b and width <= 0.5 * w3:
+                # the secant point, kept half a stop width (or an ulp) inside
+                # the bracket, so that a root next to b or a closes it
+                step = 0.5 * rtol * (b if b > 1.0 else 1.0)
+                ulp = math.ulp(b)
+                if step < ulp:
+                    step = ulp
+                s = a + width * (ga / (ga - gb))
+                if s < a + step:
+                    s = a + step
+                if s > b - step:
+                    s = b - step
+                if a < s < b:  # False for NaN
+                    x = s
+            # no point inside (a, b) has been called: only mid may have been
+            gx = known.get(x) if x == mid else None
+            if gx is None:
+                gx = known[x] = f(x) - target
+            if a < x < b:
+                w3, w2, w1 = w2, w1, width
+                if gx < 0:
+                    a, ga = x, gx
+                    if side < 0:  # a moved twice running: halve g(b)
+                        gb *= 0.5
+                    side = -1
+                else:
+                    b, gb, margin = x, gx, _NOISE_ULPS * math.ulp(x)
+                    if side > 0:
+                        ga *= 0.5
+                    side = 1
+                lo_cut, hi_cut = a - margin, b + margin
+            if x == mid:
+                if gx < 0:
+                    lo = mid
+                else:
+                    hi = mid
+                break
+            if mid <= lo_cut:
+                lo = mid
+                break
+            if mid >= hi_cut:
+                hi = mid
+                break
     return 0.5 * (lo + hi)

@@ -6,9 +6,11 @@ transfer map with attracting fixed point xi = 1/tau(1), and the d_n
 recursion follows the per-dimension implicit maps f_n whose limit is
 Omega.  tau and tau' share one series, and psi and f_n one root solver,
 `numth.bisect_increasing`: a bisection whose midpoints an Illinois
-bracket decides, so it returns plain bisection's float from about a
-third of the tau and cap-sum calls.  f_n's left side is
-`numth.cap_sum`, whose log1p power terms make dimension 1024 routine.
+bracket decides, started next to the root from a guess where there is
+one.  `iterate_d` guesses each d_(n+1) and each Omega ratio from the two
+before it, so its solves return plain bisection's floats from an eighth
+of the cap-sum calls and a fortieth of the tau calls.  f_n's left side
+is `numth.cap_sum`, whose log1p power terms make dimension 1024 routine.
 """
 
 import itertools
@@ -73,14 +75,20 @@ def tau_derivative(x: float) -> float:
     return 2.0 * math.pi / x**3 * _tail(x, 2)
 
 
-def psi(t: float) -> float:
-    """Inverse of tau, bisected on (2t, 2t + 2) to 1e-13 * max(1, hi)."""
+def psi(t: float, guess: float | None = None) -> float:
+    """Inverse of tau, bisected on (2t, 2t + 2) to 1e-13 * max(1, hi).
+
+    Below t = 0.1, where tau(x) = exp(-pi / x^2) (1 + O(t^3)), the
+    solver starts from sqrt(pi / -ln t) unless a guess is given.
+    """
     if not 0 < 2.0 * t < math.inf:  # also refuses NaN
         raise InputError(f"psi requires t > 0 with 2t finite, got {t}")
+    if guess is None and t < 0.1:
+        guess = math.sqrt(-math.pi / math.log(t))
     # tau(x) < x/2 gives tau(lo) < t; x/2 - 1 < tau(x) gives tau(hi) > t.
     return numth.bisect_increasing(
-        tau, t, max(2.0 * t, 1e-300), 2.0 * t + 2.0, rtol=1e-13, what="psi"
-    )
+        tau, t, max(2.0 * t, 1e-300), 2.0 * t + 2.0, rtol=1e-13, what="psi",
+        guess=guess)
 
 
 def omega(x: float) -> float:
@@ -96,14 +104,16 @@ def fixpoint():
     return 1.0 / t1, 1.0 - t1 / tau_derivative(1.0)
 
 
-def f_step(n: int, x: float) -> float:
+def f_step(n: int, x: float, guess: float | None = None) -> float:
     """Implicit per-dimension map: solve for y in
 
         x * sum_{k=1}^{floor(y V_n / (x V_{n+1}))}
             (1 - k^2 (x V_{n+1} / (y V_n))^2)^(n/2) = 1.
 
     The left side is continuous and nondecreasing in y, zero for small y
-    and unbounded, so bisection (to 1e-12 * max(1, hi)) is well posed.
+    and unbounded, so bisection (to 1e-12 * max(1, hi)) is well posed.  A
+    guess next to the root (`iterate_d` passes 2 d_n - d_(n-1)) saves
+    calls and changes no float.
     """
     if n < 1 or not 0 < x < math.inf:  # also refuses NaN
         raise InputError("f_step requires n >= 1 and a finite x > 0")
@@ -113,7 +123,8 @@ def f_step(n: int, x: float) -> float:
         return x * numth.cap_sum(x * ratio / y, n / 2.0)
 
     lo = x * ratio
-    return numth.bisect_increasing(lhs, 1.0, lo, 2.0 * lo, rtol=1e-12, what="f_step")
+    return numth.bisect_increasing(
+        lhs, 1.0, lo, 2.0 * lo, rtol=1e-12, what="f_step", guess=guess)
 
 
 @dataclass(frozen=True)
@@ -137,12 +148,13 @@ class FlowTrace:
 
 def _flow_terms(max_n: int) -> float:
     """About how many cap-sum terms `iterate_d(max_n)` sums: each row's
-    `f_step` makes about 14 solver calls (11.3-14.1 a row, counted at
-    max_n = 16 to 4096), each over about V_n / V_(n+1) ~ sqrt(n / 2 pi)
-    terms near its root, and sum_{n <= N} sqrt(n) ~ (2/3) N^1.5; inf past
-    float range."""
+    `f_step` makes about 5 solver calls (4.9-9.8 a row, counted at
+    max_n = 16 to 4096; the first rows, with no guess or a poor one, make
+    the most), each over about V_n / V_(n+1) ~ sqrt(n / 2 pi) terms near
+    its root, and sum_{n <= N} sqrt(n) ~ (2/3) N^1.5; inf past float
+    range."""
     try:
-        return 14.0 * (2.0 / 3.0) * float(max_n) ** 1.5 / math.sqrt(2.0 * math.pi)
+        return 5.0 * (2.0 / 3.0) * float(max_n) ** 1.5 / math.sqrt(2.0 * math.pi)
     except OverflowError:
         return math.inf
 
@@ -159,15 +171,23 @@ def iterate_d(max_n: int) -> FlowTrace:
             estimate=estimate, budget=budget)
     xi, deriv = fixpoint()
     rows = []
-    d = 2.0
+    d = prev_d = 2.0
     w = 2.0
+    roots = []  # the roots psi(1 / w) = omega(w) / w so far
     settled = False  # omega(w) == w: every later iterate is w as well
     a_n = 0
     for n in range(1, max_n + 1):
         if n > 1:
-            prev_d, d = d, f_step(n - 1, d)
+            guess = 2.0 * d - prev_d if n > 2 else None
+            prev_d, d = d, f_step(n - 1, d, guess)
             if not settled:
-                next_w = omega(w)
+                # w converges linearly, so root - 1 shrinks about
+                # geometrically; it is never 0, as w would have settled
+                guess = roots[-1] if roots else None
+                if len(roots) > 1:
+                    guess = 1.0 + (roots[-1] - 1.0) ** 2 / (roots[-2] - 1.0)
+                roots.append(psi(1.0 / w, guess))
+                next_w = w * roots[-1]  # omega(w)
                 settled = next_w == w
                 w = next_w
             a_n = math.floor(

@@ -196,8 +196,9 @@ def test_theta_coefficients_in_high_dimension():
         numth.theta_coefficients(0, 4)
 
 
-def plain_bisect(f, target, lo, hi, rtol, what):
-    """The oracle: plain bisection, evaluating f at every midpoint."""
+def plain_bisect(f, target, lo, hi, rtol, what, guess=None):
+    """The oracle: plain bisection, evaluating f at every midpoint; the
+    guess is ignored."""
     doublings = 0
     while f(hi) < target:
         hi *= 2.0
@@ -306,6 +307,43 @@ class TestBisectIncreasing:
         assert 0.25 not in calls and len(calls) == len(set(calls))
         assert y == plain_bisect(f, target, 0.25, 0.5, rtol, "noisy")
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.3, 1e3), st.sampled_from([0.0, 1e-13, 1e-12]),
+           st.sampled_from(["below lo", "inside", "at the root", "far past"]),
+           st.floats(0.0, 1.0), st.booleans())
+    def test_any_guess_gives_plain_bisection(self, root, rtol, where, frac, noisy):
+        # "below lo" includes lo itself; "far past" lies beyond the doubled hi
+        calls = []
+
+        def f(y):
+            calls.append(y)
+            v = y**3
+            return v + (hash(y) % 9 - 4) * math.ulp(v) if noisy else v
+
+        target, top = root**3, 0.5
+        while top**3 < target:
+            top *= 2.0
+        guess = {"below lo": 0.25 * frac, "inside": 0.25 + frac * (top - 0.25),
+                 "at the root": root, "far past": 1e6 * top * (1.0 + frac)}[where]
+        y = numth.bisect_increasing(f, target, 0.25, 0.5, rtol, "cube", guess=guess)
+        assert 0.25 not in calls and len(calls) == len(set(calls))
+        assert y == plain_bisect(f, target, 0.25, 0.5, rtol, "cube")
+
+    def test_a_walk_down_to_lo_stops_short_of_it(self):
+        # the guess lies one probe step above lo, so the walk's next point is lo
+        calls = []
+
+        def f(y):
+            calls.append(y)
+            return y
+
+        stop = 2.0**-40  # the stop width at the guess, rtol * 1
+        guess = 0.25 + numth._PROBE_STOPS * stop
+        target = 0.25 + 0.5 * numth._PROBE_STOPS * stop
+        y = numth.bisect_increasing(f, target, 0.25, 0.5, stop, "id", guess=guess)
+        assert 0.25 not in calls
+        assert y == plain_bisect(f, target, 0.25, 0.5, stop, "id")
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-30.0, 3.0))
     def test_psi_matches_plain_bisection(self, log_t):
@@ -318,6 +356,11 @@ class TestBisectIncreasing:
     def test_f_step_matches_plain_bisection(self, n, x):
         assert thetaflow.f_step(n, x) == by_plain_bisection(
             lambda: thetaflow.f_step(n, x))
+
+    def test_iterate_d_matches_plain_bisection(self):
+        # guessed f_step and psi solves, row for row
+        assert thetaflow.iterate_d(256).rows == by_plain_bisection(
+            lambda: thetaflow.iterate_d(256)).rows
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4), st.floats(-2.0, 1.0))
@@ -340,14 +383,24 @@ class TestBisectIncreasing:
 class TestEvaluationCounts:
     """Calls of the solved functions, counted by wrappers: machine-independent.
     Plain bisection makes 45,285 cap_sum and 47,054 tau calls in
-    iterate_d(1024), and 55 eval_F calls in eval_Y(3, 1e-100); iterate_d
-    stops calling omega once the Omega iterate is a fixed point (n = 222)."""
+    iterate_d(1024), and 55 eval_F calls in eval_Y(3, 1e-100).  From cold
+    brackets the solver makes 13,419 and 3,070; from iterate_d's guesses
+    (the linear extrapolation of d_n, and of log(root - 1) for psi),
+    5,320 and 1,055.  iterate_d stops solving for the Omega iterate once
+    it is a fixed point (n = 222)."""
 
     def test_iterate_d(self, monkeypatch):
         caps = counting(monkeypatch, numth, "cap_sum")
         taus = counting(monkeypatch, thetaflow, "tau")
         thetaflow.iterate_d(1024)
-        assert len(caps) <= 16_000 and len(taus) <= 4_000
+        assert len(caps) <= 7_000 and len(taus) <= 1_500
+
+    @pytest.mark.parametrize("t", [1e-30, 1e-20, 1e-10])
+    def test_psi_at_tiny_t(self, monkeypatch, t):
+        # from its own guess sqrt(pi / -ln t): 23, 33 and 21 calls without
+        taus = counting(monkeypatch, thetaflow, "tau")
+        thetaflow.psi(t)
+        assert len(taus) <= 8
 
     def test_eval_Y_far_past_the_term_cap(self, monkeypatch):
         calls = counting(monkeypatch, bounds, "eval_F")
