@@ -2,15 +2,18 @@
 
 A mu-sequence is s_0 = 1, s_1, ... such that every prefix's orthogonal
 lattice in Z^(n+1) has minimum >= mu.  The greedy step and the interval
-obstruction sets I_k / X_k(a) read only the pairs (|z|^2, |<z, s>|) of the
-ball |z|^2 <= mu - 2, never the points z: one table counts them over all
-coordinates but the last, built one coordinate at a time, and each reader
-streams the last coordinate over it.
+obstruction sets I_k / X_k(a) read only the pairs (|z|^2, <z, s>) of the
+ball |z|^2 <= mu - 2, never the points z.  Each builds a table of them over
+all coordinates but the last, one coordinate at a time, and streams the
+last coordinate over it: the obstruction sets count the points behind each
+pair, the greedy step's forbidden set keeps only which dots occur, one
+bitset per norm.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from . import lattice, numth
 from .errors import InputError, ResourceBudgetError
@@ -142,26 +145,84 @@ def _ball_table(s: SVector, mu: int) -> dict:
                 xe, target = x * e, table.setdefault(m + x * x, {})
                 get = target.get
                 for d, c in row.items():
-                    target[d + xe] = get(d + xe, 0) + c
-                    target[abs(d - xe)] = get(abs(d - xe), 0) + c
+                    up, down = d + xe, abs(d - xe)
+                    target[up] = get(up, 0) + c
+                    target[down] = get(down, 0) + c
     return table
+
+
+def _check_bitset_width(n: int, mu: int, offset: int) -> None:
+    """Refuse `forbidden_values`' bitsets before they are built when their
+    bits, at most (rows + accumulators) (2 offset + 1), are over 64 times
+    `lattice.enum_budget()`, one budget unit per machine word.  The rows are
+    the norms 0..mu - 2 of z, at most one per choice of |z_i| <= isqrt(mu - 2)."""
+    rows = min(mu - 1, (math.isqrt(mu - 2) + 1) ** (n - 1))
+    estimate = (rows + math.isqrt(mu - 1)) * (2 * offset + 1)
+    budget = 64 * lattice.enum_budget()
+    if estimate > budget:
+        raise ResourceBudgetError(
+            f"the forbidden set's bitsets of {estimate} bits are too large",
+            estimate=estimate, budget=budget)
+
+
+def _dot_bitsets(s: SVector, mu: int, offset: int) -> dict:
+    """{m: row} over z in Z^(len(s) - 1), m = |z|^2 <= mu - 2: bit d + offset
+    of row is set when some z has <z, s> = d on the first len(s) - 1 entries.
+
+    Each entry e is added as in `_ball_table`, x = +/-a shifting a whole row
+    by a e at once; the rows read are the snapshot from before e."""
+    table = {0: 1 << offset}
+    for e in s.entries[:-1]:
+        for m, row in list(table.items()):
+            for x in range(1, math.isqrt(mu - 2 - m) + 1):
+                xe, target = x * e, m + x * x
+                table[target] = table.get(target, 0) | row << xe | row >> xe
+    return table
+
+
+def _forbidden_bits(s: SVector, mu: int) -> int:
+    """The forbidden set of `forbidden_values` as an int: bit a is set when
+    a is forbidden, bit 0 when some |<z, s>| is 0.  Its rows and
+    accumulators are freed on return, before the list of values is built."""
+    _check_mu(mu)
+    _check_half_ball(len(s.entries), mu)
+    offset, e = math.isqrt((mu - 2) * lattice.determinant(s)), s.entries[-1]
+    _check_bitset_width(len(s.entries), mu, offset)
+    acc = [0] * (math.isqrt(mu - 1) + 1)
+    for m, row in _dot_bitsets(s, mu, offset).items():
+        for x in range(math.isqrt(mu - 2 - m) + 1):
+            xe = x * e
+            acc[math.isqrt(mu - 1 - m - x * x)] |= row << xe | row >> xe
+    out = run = 0
+    for k in range(len(acc) - 1, 0, -1):
+        run |= acc[k]
+        bits = format(run >> offset, "b")  # bit v is character len - 1 - v
+        out |= int(bits[(len(bits) - 1) % k::k], 2)  # bit a: v = k a
+    return out
+
+
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def forbidden_values(s: SVector, mu: int):
     """Values a such that appending a would create a vector of norm < mu:
     a = |<z, s>| / k, exact and positive, for 0 < |z|^2 < mu - 1 and
-    |z|^2 + k^2 < mu.  The last coordinate x >= 0 of z is streamed over
-    the table and never stored.  Sorted and deduplicated."""
-    e, out = s.entries[-1], set()
-    for m, row in _ball_table(s, mu).items():
-        for x in range(math.isqrt(mu - 2 - m) + 1):
-            xe = x * e
-            values = [d + xe for d in row] + [abs(d - xe) for d in row] if x else row
-            out.update(values)
-            ks = range(2, math.isqrt(mu - 1 - m - x * x) + 1)
-            out.update([v // k for k in ks for v in values if v % k == 0])
-    out.discard(0)
-    return sorted(out)
+    |z|^2 + k^2 < mu.  Sorted and deduplicated.
+
+    The dots are bit d + B of one int per norm (`_dot_bitsets`), where
+    B = isqrt((mu - 2) |s|^2) bounds every |<z, s>| by Cauchy-Schwarz, so no
+    shift below moves a dot off either end.  The last coordinate x >= 0 is
+    streamed: each (m, x) ORs its shifted row into the accumulator of its
+    largest k, isqrt(mu - 1 - m - x^2), and a suffix OR from the top k down
+    leaves for each k the dots that k may divide, of which every k-th bit
+    from bit B is kept.  Refused first by `_check_half_ball`, then by
+    `_check_bitset_width`.
+    """
+    # character i is bit len - i, from the top value down to 1
+    flags = format(_forbidden_bits(s, mu) >> 1, "b").encode().translate(_FLAGS)
+    values = list(compress(range(len(flags), 0, -1), flags))
+    values.reverse()
+    return values
 
 
 def _dot_hits(rows, e, top, a, b):
@@ -179,11 +240,11 @@ def _dot_hits(rows, e, top, a, b):
 
 
 def _first_gap(values, start):
-    """Smallest integer >= start missing from the sorted, distinct `values`."""
+    """Smallest integer >= start missing from the sorted, distinct `values`:
+    from i = bisect_left(values, start), values[j] - j never falls and is
+    start - i on the run start, start + 1, ..., so the run is bisected."""
     i = bisect_left(values, start)
-    while i < len(values) and values[i] == start:
-        i, start = i + 1, start + 1
-    return start
+    return start + bisect_right(range(i, len(values)), start - i, key=lambda j: values[j] - j)
 
 
 def greedy_extend(s: SVector, mu: int) -> int:

@@ -149,6 +149,11 @@ RUNS = (
     # refused by its Gram-Schmidt steps before the first greedy step
     Run("museq greedy --mu 20000 --dim 2", timeout=30),
     Run("museq greedy --mu 3 --dim 1000000", 2, timeout=10),
+    # one bitset of dots per norm: about 34, 26 and 111 MB peak RSS, where a
+    # table of counts took 124, 89 and 636 MB
+    Run("museq greedy --mu 16 --dim 12", timeout=30, peak_mb=50),
+    Run("museq greedy --mu 8 --dim 24", timeout=30, peak_mb=40),
+    Run("museq greedy --mu 16 --dim 14", timeout=30, peak_mb=150),
     # 844 ones, the largest rank check_rank admits by default: LLL starts from
     # the closed-form Gram-Schmidt data, so no O(n^3) pass runs
     Run(f"museq certify --s {'1,' * 843}1 --mu 2", check=lambda out: out["certified"] is True),

@@ -152,11 +152,41 @@ def wide_mu_cases(draw):
     return s, mu, museq.IntervalSpec.from_bounds(lo, hi, mu, len(s.entries))
 
 
+@st.composite
+def sparse_cases(draw):
+    """(s, mu): n <= 3, entries <= 10^6, mu <= 50, so the dots spread far
+    past the ball's count and most of each bitset row is empty."""
+    tail = draw(st.lists(st.integers(1, 10**6), max_size=2))
+    return SVector((1,) + tuple(tail)), draw(st.integers(2, 50))
+
+
+def set_bits(row):
+    """The positions of the set bits of a non-negative int."""
+    return {i for i in range(row.bit_length()) if row >> i & 1}
+
+
 class TestTableMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(obstruction_cases())
     def test_many_dimensions(self, case):
         check_against_oracle(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_cases())
+    def test_sparse_entries(self, case):
+        assert museq.forbidden_values(*case) == oracle_forbidden_values(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(obstruction_cases())
+    def test_bitsets_hold_the_counted_dots(self, case):
+        # each bitset row, less its offset B, is the signed dots of the
+        # counting table's row at the same norm, both signs of each |dot|
+        s, mu, _ = case
+        offset = math.isqrt((mu - 2) * lattice.determinant(s))
+        bitsets, counts = museq._dot_bitsets(s, mu, offset), museq._ball_table(s, mu)
+        assert bitsets.keys() == counts.keys()
+        for m, row in bitsets.items():
+            assert {b - offset for b in set_bits(row)} == {v for d in counts[m] for v in (d, -d)}
 
     @settings(max_examples=150, deadline=None)
     @given(wide_mu_cases())
@@ -216,6 +246,30 @@ class TestForbiddenValues:
     def test_mu_validation(self):
         with pytest.raises(InputError):
             museq.forbidden_values(SVector((1,)), 1)
+
+    def test_width_refused_before_the_bitsets(self, monkeypatch):
+        # B = isqrt(|s|^2) = 10^12 at mu = 3: two rows (norms 0 and 1) and
+        # one accumulator of 2 B + 1 bits each
+        def no_bitsets(*args):
+            raise AssertionError("_dot_bitsets called")
+
+        monkeypatch.delenv("LATPACK_ENUM_BUDGET", raising=False)
+        monkeypatch.setattr(museq, "_dot_bitsets", no_bitsets)
+        with pytest.raises(ResourceBudgetError, match="bitsets of 6000000000003 bits") as refused:
+            museq.forbidden_values(SVector((1, 10**12)), 3)
+        assert refused.value.estimate == 3 * (2 * 10**12 + 1)
+        assert refused.value.budget == 64 * lattice.DEFAULT_ENUM_BUDGET
+
+    def test_width_budget_is_one_unit_a_word(self, monkeypatch):
+        # 3 (2 10^6 + 1) bits at s = (1, 10^6), mu = 3: admitted by a budget
+        # of 64 bits a unit that covers them, refused by one unit less
+        s, bits = SVector((1, 10**6)), 3 * (2 * 10**6 + 1)
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(-(-bits // 64)))
+        assert museq.forbidden_values(s, 3) == oracle_forbidden_values(s, 3)
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(-(-bits // 64) - 1))
+        with pytest.raises(ResourceBudgetError) as refused:
+            museq.forbidden_values(s, 3)
+        assert refused.value.estimate == bits
 
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setenv("LATPACK_ENUM_BUDGET", "1000")
