@@ -1,13 +1,17 @@
 """Greedy construction of minimum-certified sequences.
 
 A mu-sequence is s_0 = 1, s_1, ... such that every prefix's orthogonal
-lattice in Z^(n+1) has minimum >= mu.  The greedy step and the interval
-obstruction sets I_k / X_k(a) read only the pairs (|z|^2, <z, s>) of the
-ball |z|^2 <= mu - 2, never the points z.  Each builds a table of them over
-all coordinates but the last, one coordinate at a time, and streams the
-last coordinate over it: the obstruction sets count the points behind each
-pair, the greedy step's forbidden set keeps only which dots occur, one
-bitset per norm.
+lattice in Z^(n+1) has minimum >= mu.  A greedy sequence is certified by
+its construction, not by a shortest-vector search after the steps: each
+step avoids the forbidden set, every value that would admit a vector of
+norm < mu (`greedy_sequence`).  `certify` is that exact search, for any s.
+
+The greedy step and the interval obstruction sets I_k / X_k(a) read only
+the pairs (|z|^2, <z, s>) of the ball |z|^2 <= mu - 2, never the points z.
+Each builds a table of them over all coordinates but the last, one
+coordinate at a time, and streams the last coordinate over it: the
+obstruction sets count the points behind each pair, the greedy step's
+forbidden set keeps only which dots occur, one bitset per norm.
 """
 
 import math
@@ -254,9 +258,17 @@ def greedy_extend(s: SVector, mu: int) -> int:
 
 def greedy_sequence(mu: int, dim: int) -> MuSequence:
     """The lexicographically first mu-sequence out to the given dimension,
-    refused before its first step when the final certificate's reduction
-    (`lattice.check_rank`) or the last step's table (`_check_half_ball`) is
-    over the budget."""
+    refused before its first step when its rank fails the admission rule
+    `lattice.check_rank` or the last step's table (`_check_half_ball`) is
+    over the budget.  No reduction is made: `check_rank` only bounds dim.
+
+    `certified` rests on the construction, by induction over the prefixes.
+    Lambda((1,)) = {0}.  For s' = (s, a), a vector (z, 0) of Lambda(s') lies
+    in Lambda(s), so its norm is >= mu; a vector (z, k) with k >= 1 and
+    |z|^2 + k^2 < mu has z != 0 and <z, s> = -k a, so a = |<z, s>| / k is in
+    `forbidden_values(s, mu)`, which a step never picks.  The tests hold
+    it to `certify`, the exact SVP, on every prefix of their ladders.
+    """
     if mu < 2 or dim < 1:
         raise InputError("need mu >= 2 and dim >= 1")
     lattice.check_rank(dim)
@@ -264,7 +276,7 @@ def greedy_sequence(mu: int, dim: int) -> MuSequence:
     s = SVector((1,))
     for _ in range(dim):
         s = s.extended(greedy_extend(s, mu))
-    return MuSequence(mu=mu, s=s, certified=certify(s, mu))
+    return MuSequence(mu=mu, s=s, certified=True)
 
 
 def certify(s: SVector, mu: int) -> bool:

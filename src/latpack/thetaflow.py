@@ -78,13 +78,20 @@ def tau_derivative(x: float) -> float:
 def psi(t: float, guess: float | None = None) -> float:
     """Inverse of tau, bisected on (2t, 2t + 2) to 1e-13 * max(1, hi).
 
-    Below t = 0.1, where tau(x) = exp(-pi / x^2) (1 + O(t^3)), the
-    solver starts from sqrt(pi / -ln t) unless a guess is given.
+    Unless a guess is given, the solver starts from one of its own.  Below
+    t = 0.1, where tau(x) = exp(-pi / x^2) (1 + O(t^3)), that is
+    sqrt(pi / -ln t).  From t = 0.1, the Jacobi form
+    tau(x) = x/2 - 1/2 + x tau(1/x), with tau(1/x) ~ exp(-pi x^2), gives
+    x = 2 (t + 1/2 - x exp(-pi x^2)), iterated twice from x = 2t + 1.
     """
     if not 0 < 2.0 * t < math.inf:  # also refuses NaN
         raise InputError(f"psi requires t > 0 with 2t finite, got {t}")
     if guess is None and t < 0.1:
         guess = math.sqrt(-math.pi / math.log(t))
+    elif guess is None:
+        guess = 2.0 * t + 1.0
+        for _ in range(2):  # guess^2 may overflow to inf, where exp gives 0.0
+            guess = 2.0 * (t + 0.5 - guess * math.exp(-math.pi * guess * guess))
     # tau(x) < x/2 gives tau(lo) < t; x/2 - 1 < tau(x) gives tau(hi) > t.
     return numth.bisect_increasing(
         tau, t, max(2.0 * t, 1e-300), 2.0 * t + 2.0, rtol=1e-13, what="psi",

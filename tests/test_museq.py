@@ -372,13 +372,23 @@ class TestGreedy:
         minimum, _ = lattice.shortest_vector(lattice.basis_from_s(seq.s))
         assert minimum >= 4
 
-    @pytest.mark.parametrize("mu,dim", [(3, 4), (4, 3), (5, 3), (7, 3)])
+    @pytest.mark.parametrize("mu,dim", [(3, 4), (4, 3), (5, 3), (7, 3),
+                                        (6, 7), (8, 6), (12, 5), (16, 5)])
     def test_matches_svp_oracle(self, mu, dim):
+        """The test behind `certified`: every prefix of the oracle's ladder
+        passes the exact SVP, and the greedy sequence is that ladder."""
         s = SVector((1,))
         for _ in range(dim):
-            step = museq.greedy_extend(s, mu)
-            assert step == oracle_extend(s, mu)
-            s = s.extended(step)
+            s = s.extended(oracle_extend(s, mu))
+        seq = museq.greedy_sequence(mu, dim)
+        assert seq.s.entries == s.entries and seq.certified
+
+    def test_certified_without_a_shortest_vector_search(self, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("a shortest-vector search ran")
+        monkeypatch.setattr(lattice, "shortest_vector", search)
+        seq = museq.greedy_sequence(8, 9)
+        assert seq.certified and len(seq.s.entries) == 10
 
     def test_certify_refuses_small_mu(self):
         with pytest.raises(InputError, match="mu must be >= 2, got 1"):
