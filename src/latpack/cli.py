@@ -145,7 +145,8 @@ GROUPS = {"museq": "mu-sequence construction", "lattice": "orthogonal-complement
 
 COMMANDS = (
     Command("museq greedy", "greedy mu-sequence", _museq_greedy,
-            (_MU, _opt("--dim", type=int, required=True)), _SVP),
+            (_MU, _opt("--dim", type=int, required=True)),
+            {"certificate": "prefix induction over exact forbidden-value bitsets"}),
     Command("museq certify", "certify minimum >= mu", _museq_certify, (_S, _MU), _SVP),
     Command("museq obstructions", "interval obstruction sets", _museq_obstructions,
             (_S, _MU, _opt("--lo", type=float, required=True),

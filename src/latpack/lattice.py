@@ -20,13 +20,13 @@ import os
 from dataclasses import dataclass
 
 from . import numth
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, ResourceBudgetError, check_budget
 
 #: Default work budget: shortest-vector nodes, the rank admission of a
-#: kernel basis (see `check_rank`), the pairs (z, k) that `museq`'s ball
-#: table readers stream, and the cap-sum terms of `thetaflow.iterate_d`;
-#: override with the LATPACK_ENUM_BUDGET environment variable.  Moebius
-#: sums have their own cap, `numth._MOBIUS_CAP`.
+#: kernel basis (see `check_rank`), the pairs (z, k) of `museq`'s ball
+#: table, a greedy run's bitset shifts and the cap-sum terms of
+#: `thetaflow.iterate_d`; override with the LATPACK_ENUM_BUDGET environment
+#: variable.  Moebius sums have their own cap, `numth._MOBIUS_CAP`.
 DEFAULT_ENUM_BUDGET = 10**8
 
 
@@ -82,11 +82,8 @@ def check_rank(n: int) -> None:
     not a bound on the work: LLL recognises the kernel basis by its rows,
     starts from the O(n^2) closed form and makes no such pass.
     """
-    estimate, budget = (n - 1) * n * (n + 1) // 6, enum_budget()
-    if estimate > budget:
-        raise ResourceBudgetError(
-            f"lattice of rank {n} is too large to reduce",
-            estimate=estimate, budget=budget)
+    check_budget((n - 1) * n * (n + 1) // 6, enum_budget(),
+                 f"lattice of rank {n} is too large to reduce")
 
 
 def basis_from_s(s: SVector) -> list[tuple[int, ...]]:

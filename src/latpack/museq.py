@@ -11,7 +11,8 @@ the pairs (|z|^2, <z, s>) of the ball |z|^2 <= mu - 2, never the points z.
 Each builds a table of them over all coordinates but the last, one
 coordinate at a time, and streams the last coordinate over it: the
 obstruction sets count the points behind each pair, the greedy step's
-forbidden set keeps only which dots occur, one bitset per norm.
+forbidden set keeps only which dots occur, one bitset per norm.  A greedy
+run is admitted by its bitsets' shifts, the obstruction sets by their pairs.
 """
 
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import lattice, numth
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, check_budget
 from .lattice import SVector
 
 
@@ -126,10 +127,8 @@ def _check_half_ball(n: int, mu: int) -> None:
         if estimate > budget and n * mu * (math.isqrt(mu - 1) + 1) <= budget:
             counts = numth.theta_coefficients(n, mu - 1)
             estimate = sum(c * math.isqrt(mu - 1 - m) for m, c in enumerate(counts))
-    if estimate > budget:
-        raise ResourceBudgetError(
-            f"half-ball of squared radius {mu - 1} in dimension {n + 1} is too large",
-            estimate=estimate, budget=budget)
+    check_budget(estimate, budget,
+                 f"half-ball of squared radius {mu - 1} in dimension {n + 1} is too large")
 
 
 def _ball_table(s: SVector, mu: int) -> dict:
@@ -155,18 +154,21 @@ def _ball_table(s: SVector, mu: int) -> dict:
     return table
 
 
-def _check_bitset_width(n: int, mu: int, offset: int) -> None:
-    """Refuse `forbidden_values`' bitsets before they are built when their
-    bits, at most (rows + accumulators) (2 offset + 1), are over 64 times
-    `lattice.enum_budget()`, one budget unit per machine word.  The rows are
-    the norms 0..mu - 2 of z, at most one per choice of |z_i| <= isqrt(mu - 2)."""
-    rows = min(mu - 1, (math.isqrt(mu - 2) + 1) ** (n - 1))
-    estimate = (rows + math.isqrt(mu - 1)) * (2 * offset + 1)
-    budget = 64 * lattice.enum_budget()
-    if estimate > budget:
-        raise ResourceBudgetError(
-            f"the forbidden set's bitsets of {estimate} bits are too large",
-            estimate=estimate, budget=budget)
+def _step_work(s: SVector, mu: int) -> int:
+    """The work of `_forbidden_bits(s, mu)`: its (entry, row, x) shifts, at most
+    len(s) rows (isqrt(mu - 2) + 1), each (2 B + 1) // 4096 + 1 units of 4096
+    bits, B = isqrt((mu - 2) |s|^2).  The rows are the norms 0..mu - 2, at most one
+    per choice of |z_i| <= isqrt(mu - 2), so the work never falls as s grows.
+    Refused first when the bits, at most (rows + accumulators) (2 B + 1), are
+    over 64 times `lattice.enum_budget()`, one budget unit per machine word."""
+    _check_mu(mu)
+    n, r = len(s.entries), math.isqrt(mu - 2)
+    width = 2 * math.isqrt((mu - 2) * lattice.determinant(s)) + 1
+    rows = min(mu - 1, (r + 1) ** (n - 1))
+    bits = (rows + math.isqrt(mu - 1)) * width
+    check_budget(bits, 64 * lattice.enum_budget(),
+                 f"the forbidden set's bitsets of {bits} bits are too large")
+    return n * rows * (r + 1) * (width // 4096 + 1)
 
 
 def _dot_bitsets(s: SVector, mu: int, offset: int) -> dict:
@@ -188,10 +190,9 @@ def _forbidden_bits(s: SVector, mu: int) -> int:
     """The forbidden set of `forbidden_values` as an int: bit a is set when
     a is forbidden, bit 0 when some |<z, s>| is 0.  Its rows and
     accumulators are freed on return, before the list of values is built."""
-    _check_mu(mu)
-    _check_half_ball(len(s.entries), mu)
+    check_budget(_step_work(s, mu), lattice.enum_budget(),
+                 f"the forbidden set after {len(s.entries)} entries is too large to build")
     offset, e = math.isqrt((mu - 2) * lattice.determinant(s)), s.entries[-1]
-    _check_bitset_width(len(s.entries), mu, offset)
     acc = [0] * (math.isqrt(mu - 1) + 1)
     for m, row in _dot_bitsets(s, mu, offset).items():
         for x in range(math.isqrt(mu - 2 - m) + 1):
@@ -219,8 +220,8 @@ def forbidden_values(s: SVector, mu: int):
     streamed: each (m, x) ORs its shifted row into the accumulator of its
     largest k, isqrt(mu - 1 - m - x^2), and a suffix OR from the top k down
     leaves for each k the dots that k may divide, of which every k-th bit
-    from bit B is kept.  Refused first by `_check_half_ball`, then by
-    `_check_bitset_width`.
+    from bit B is kept.  Refused by its bits, then by its shifts, both
+    from `_step_work`.
     """
     # character i is bit len - i, from the top value down to 1
     flags = format(_forbidden_bits(s, mu) >> 1, "b").encode().translate(_FLAGS)
@@ -258,9 +259,8 @@ def greedy_extend(s: SVector, mu: int) -> int:
 
 def greedy_sequence(mu: int, dim: int) -> MuSequence:
     """The lexicographically first mu-sequence out to the given dimension,
-    refused before its first step when its rank fails the admission rule
-    `lattice.check_rank` or the last step's table (`_check_half_ball`) is
-    over the budget.  No reduction is made: `check_rank` only bounds dim.
+    refused before step i when the work done plus dim - i times its
+    `_step_work`, a lower bound on the run's, is over `lattice.enum_budget()`.
 
     `certified` rests on the construction, by induction over the prefixes.
     Lambda((1,)) = {0}.  For s' = (s, a), a vector (z, 0) of Lambda(s') lies
@@ -271,10 +271,12 @@ def greedy_sequence(mu: int, dim: int) -> MuSequence:
     """
     if mu < 2 or dim < 1:
         raise InputError("need mu >= 2 and dim >= 1")
-    lattice.check_rank(dim)
-    _check_half_ball(dim, mu)
-    s = SVector((1,))
-    for _ in range(dim):
+    s, spent, budget = SVector((1,)), 0, lattice.enum_budget()
+    for i in range(dim):
+        work = _step_work(s, mu)
+        check_budget(spent + (dim - i) * work, budget,
+                     f"greedy run to dimension {dim} is too large after {i} steps")
+        spent += work
         s = s.extended(greedy_extend(s, mu))
     return MuSequence(mu=mu, s=s, certified=True)
 

@@ -14,7 +14,7 @@ has a guess.
 import math
 from array import array
 
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, check_budget
 
 #: The largest Moebius argument, where the tables stop (5 MB, and 8 MB for
 #: each weight exponent), and the most terms a Moebius-weighted sum may have.
@@ -55,11 +55,7 @@ def mobius_table(k: int) -> array:
 def check_mobius_terms(terms: float, what: str) -> None:
     """Refuse a sum over more than `_MOBIUS_CAP` terms before it starts,
     not at its first term past the cap, after summing all the others."""
-    if not terms <= _MOBIUS_CAP:  # also refuses NaN
-        raise ResourceBudgetError(
-            f"{what} needs {terms:.3g} terms",
-            estimate=terms, budget=_MOBIUS_CAP,
-        )
+    check_budget(terms, _MOBIUS_CAP, f"{what} needs {terms:.3g} terms")
 
 
 def mobius_weights(n: int, k: int) -> array:
@@ -246,7 +242,7 @@ def bisect_increasing(f, target, lo, hi, rtol, what, guess=None) -> float:
     lo_cut, hi_cut = a - margin, b + margin  # g < 0 at or below, g >= 0 at or above
     # max(1, hi) without a call: this loop runs about 44 times a solve
     while hi - lo > rtol * (hi if hi > 1.0 else 1.0):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
         if lo < mid <= lo_cut:
             lo = mid
             continue
@@ -302,4 +298,4 @@ def bisect_increasing(f, target, lo, hi, rtol, what, guess=None) -> float:
             if mid >= hi_cut:
                 hi = mid
                 break
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattice, numth
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, check_budget
 
 
 #: Relative truncation of the theta series.
@@ -171,11 +171,9 @@ def iterate_d(max_n: int) -> FlowTrace:
     refused before the first row when `_flow_terms` is over the budget."""
     if max_n < 1:
         raise InputError(f"iterate_d requires max_n >= 1, got {max_n}")
-    estimate, budget = _flow_terms(max_n), lattice.enum_budget()
-    if estimate > budget:
-        raise ResourceBudgetError(
-            f"the d_n flow to n = {max_n} needs about {estimate:.3g} cap-sum terms",
-            estimate=estimate, budget=budget)
+    estimate = _flow_terms(max_n)
+    check_budget(estimate, lattice.enum_budget(),
+                 f"the d_n flow to n = {max_n} needs about {estimate:.3g} cap-sum terms")
     xi, deriv = fixpoint()
     rows = []
     d = prev_d = 2.0

@@ -133,7 +133,8 @@ RUNS = (
     # 0.0: they take no part, and C_n(x) is x Y_n(x)^(2/n)
     *(Run(f"bounds cn --n {n} --x {x}") for n, x in ((5, "1e30"), (2, "1e30"), (3, "1e300"))),
     Run("bounds cn --n 25 --x 1e50", 1, check=lambda err: "F_25(1e+48, " in err),
-    # (5, 24) is admitted by the exact ball count; the norm bounds the obstruction stream
+    # (5, 24) is admitted by its steps' work, 4 rows an entry; the norm
+    # bounds the obstruction stream
     Run("museq greedy --mu 5 --dim 24", timeout=30),
     Run("museq obstructions --s 1,2 --mu 3 --lo 1 --hi 1e300", timeout=30),
     # mu |s|^2 = 900 = 30^2: the cutoff is decided in integers, not one below
@@ -145,15 +146,22 @@ RUNS = (
     # epsilon = hi / lo - 1 is inf
     Run("museq obstructions --s 1,2 --mu 100 --lo 1e-300 --hi 1e300", 1,
         check=lambda err: "epsilon = hi / lo - 1 lies past float range" in err),
-    # (20000, 2) streams a long last layer over a small table; rank 10^6 is
-    # refused by its Gram-Schmidt steps before the first greedy step
+    # (20000, 2) streams a long last layer over a small table; dimension 10^6
+    # is refused once the steps done and the work of the steps left, each at
+    # least the last one's, pass the budget: after 25 steps at mu = 3, and
+    # after 100 at mu = 2, where each step shifts one row once an entry
     Run("museq greedy --mu 20000 --dim 2", timeout=30),
-    Run("museq greedy --mu 3 --dim 1000000", 2, timeout=10),
+    *(Run(f"museq greedy --mu {mu} --dim 1000000", 2, timeout=10,
+          check=lambda err, steps=steps: f"too large after {steps} steps" in err)
+      for mu, steps in ((3, 25), (2, 100))),
     # one bitset of dots per norm: about 34, 26 and 111 MB peak RSS, where a
-    # table of counts took 124, 89 and 636 MB
+    # table of counts took 124, 89 and 636 MB; (16, 15) and (8, 40), about
+    # 224 and 164 MB, were refused by a count of the pairs of that table
     Run("museq greedy --mu 16 --dim 12", timeout=30, peak_mb=50),
     Run("museq greedy --mu 8 --dim 24", timeout=30, peak_mb=40),
     Run("museq greedy --mu 16 --dim 14", timeout=30, peak_mb=150),
+    Run("museq greedy --mu 16 --dim 15", timeout=30, peak_mb=260),
+    Run("museq greedy --mu 8 --dim 40", timeout=30, peak_mb=200),
     # 844 ones, the largest rank check_rank admits by default: LLL starts from
     # the closed-form Gram-Schmidt data, so no O(n^3) pass runs
     Run(f"museq certify --s {'1,' * 843}1 --mu 2", check=lambda out: out["certified"] is True),
@@ -231,7 +239,8 @@ RUNS = (
     *(Run("lattice report --s 1,2,3", 1, env={"LATPACK_ENUM_BUDGET": budget},
           check=lambda err: "LATPACK_ENUM_BUDGET" in err) for budget in ("abc", "-5")),
     # a huge mu is refused, or a basis vector of norm 5 lies below it: the exact verdict
-    Run(f"museq greedy --mu {10**400} --dim 1", 2, id="museq greedy --mu 10^400 --dim 1"),
+    Run(f"museq greedy --mu {10**400} --dim 1", 2, id="museq greedy --mu 10^400 --dim 1",
+        check=lambda err: "the forbidden set's bitsets of 1999" in err),
     Run(f"museq obstructions --s 1,2 --mu {10**400} --lo 1 --hi 3", 1,
         id="museq obstructions --s 1,2 --mu 10^400 --lo 1 --hi 3"),
     Run(f"museq certify --s 1,2 --mu {10**400}", id="museq certify --s 1,2 --mu 10^400",
@@ -247,16 +256,25 @@ RUNS = (
       for budget, reason in (("2", "budget 2)"),
                              ("3", "rank 3 is too large to reduce (estimate 4,"),
                              ("4", "node budget (estimate 6,"))),
-    *(Run(argv, 2, env={"LATPACK_ENUM_BUDGET": "2"},
-          check=lambda err: "ball of squared radius 2" in err) for argv in (
-        "museq greedy --mu 3 --dim 2", "museq obstructions --s 1,2 --mu 3 --lo 1 --hi 10")),
-    # refused at each step of the budget's admission: rank, then half-ball
-    *(Run("museq greedy --mu 14 --dim 8", 2, env={"LATPACK_ENUM_BUDGET": budget})
-      for budget in ("2", "10", "1000", "100000")),
-    # 7.8e7 ball points at the third step, under the default budget, but
-    # 1.2e10 pairs (z, k) for the readers to stream: refused before the first step
+    Run("museq obstructions --s 1,2 --mu 3 --lo 1 --hi 10", 2, env={"LATPACK_ENUM_BUDGET": "2"},
+        check=lambda err: "ball of squared radius 2" in err),
+    # (14, 8)'s steps cost 4, 32, 156, 208, 260, 312, 728 and 2080 units of
+    # 4096 bits shifted: 8 steps of at least 4 are over budgets 2 and 10, and
+    # after 3 steps the 192 done and 5 more of at least 208 pass 1000; at
+    # (3, 2), 2 steps of at least 2 are over 2
+    Run("museq greedy --mu 3 --dim 2", 2, env={"LATPACK_ENUM_BUDGET": "2"},
+        check=lambda err: "after 0 steps (estimate 4," in err),
+    *(Run("museq greedy --mu 14 --dim 8", 2, env={"LATPACK_ENUM_BUDGET": budget},
+          check=lambda err, reason=reason: reason in err)
+      for budget, reason in (("2", "after 0 steps (estimate 32,"),
+                             ("10", "after 0 steps (estimate 32,"),
+                             ("1000", "after 3 steps (estimate 1232,"))),
+    Run("museq greedy --mu 14 --dim 8", env={"LATPACK_ENUM_BUDGET": "100000"},
+        check=lambda out: out["s"][-1] == 5805),
+    # two steps run; the third step's bitsets, 70,263 rows and accumulators
+    # of 3.2e7 bits each, are over 64 times the budget
     Run("museq greedy --mu 70000 --dim 3", 2,
-        check=lambda err: "half-ball of squared radius 69999 in dimension 4" in err),
+        check=lambda err: "bitsets of 2261183278941 bits are too large" in err),
     # the bench greedy ladder, and three larger rungs
     *(Run(f"museq greedy --mu {mu} --dim {dim}") for mu, dim in (
         (2, 10), (3, 8), (3, 60), (4, 12), (4, 40), (6, 9), (8, 9), (8, 16), (10, 9),

@@ -276,56 +276,31 @@ class TestForbiddenValues:
         with pytest.raises(ResourceBudgetError):
             museq.forbidden_values(SVector((1,) * 9), 10**6)
 
-    def test_budget_counts_the_work_exactly(self, monkeypatch):
-        # the readers' work is the pairs (z, k), k >= 1, |z|^2 + k^2 <= mu - 1:
-        # the bound (about 6000) is over the budget, the exact count is not
-        s = SVector((1,) * 5)
-        pairs = sum(c * math.isqrt(9 - m)
-                    for m, c in enumerate(numth.theta_coefficients(5, 9)))
-        assert pairs == sum(math.isqrt(9 - sum(x * x for x in z))
-                            for z in itertools.product(range(-3, 4), repeat=5)
-                            if sum(x * x for x in z) <= 9)
-        assert pairs < numth.ball_point_count_bound(6, 9) / 2
-        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(pairs))
-        assert museq.forbidden_values(s, 10) == oracle_forbidden_values(s, 10)
-        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(pairs - 1))
-        with pytest.raises(ResourceBudgetError) as refused:
-            museq.forbidden_values(s, 10)
-        assert refused.value.estimate == pairs
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 20), st.integers(1, 8))
+    def test_step_work_covers_the_shifts_and_never_falls(self, mu, dim):
+        # the table's rows, at most all of them read for each entry but the
+        # last, and once each by the accumulator loop, x = 0 included
+        entries, works = museq.greedy_sequence(mu, dim).s.entries, []
+        for i in range(1, len(entries) + 1):
+            s = SVector(entries[:i])
+            offset = math.isqrt((mu - 2) * lattice.determinant(s))
+            keys = museq._dot_bitsets(s, mu, offset).keys()
+            shifts = i * sum(math.isqrt(mu - 2 - m) for m in keys) + len(keys)
+            works.append(museq._step_work(s, mu))
+            assert works[-1] >= shifts * ((2 * offset + 1) // 4096 + 1)
+        assert works == sorted(works)
 
-    def test_bound_refuses_when_the_count_is_dear(self, monkeypatch):
-        # the exact count's n mu (isqrt(mu - 1) + 1) steps are over the budget
-        monkeypatch.setenv("LATPACK_ENUM_BUDGET", "100")
-        with pytest.raises(ResourceBudgetError) as refused:
-            museq.forbidden_values(SVector((1,) * 5), 10)
-        assert refused.value.estimate == numth.ball_point_count_bound(6, 9) / 2
+    def test_work_refused_before_the_bitsets(self, monkeypatch):
+        # s = (1, 2, 3) at mu = 10: 3 entries, 9 rows, 3 x, 1 unit each
+        def no_bitsets(*args):
+            raise AssertionError("_dot_bitsets called")
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 300))
-    def test_pairs_lower_bound_below_the_count(self, n, top):
-        pairs = sum(c * math.isqrt(top - m)
-                    for m, c in enumerate(numth.theta_coefficients(n, top)))
-        assert museq._pairs_lower_bound(n, top) <= pairs
-
-    def test_lower_bound_refuses_before_counting(self, monkeypatch):
-        # 1.2e10 pairs: the exact count's 5.6e7 steps are under the default
-        # budget, but the lower bound refuses before they start
-        def no_count(*args):
-            raise AssertionError("theta_coefficients called")
-
-        monkeypatch.delenv("LATPACK_ENUM_BUDGET", raising=False)
-        monkeypatch.setattr(numth, "theta_coefficients", no_count)
-        with pytest.raises(ResourceBudgetError) as refused:
-            museq.forbidden_values(SVector((1, 2, 3)), 70000)
-        assert refused.value.estimate == museq._pairs_lower_bound(3, 69999)
-        assert refused.value.estimate > lattice.DEFAULT_ENUM_BUDGET
-
-    def test_lower_bound_admits_every_ball_that_runs(self):
-        rows = [(mu, 12) for mu in range(2, 17)]
-        rows += [(5, 24), (6, 20), (8, 16), (4, 40), (3, 60)]
-        for mu, dim in rows:
-            for n in range(1, dim + 1):
-                assert museq._pairs_lower_bound(n, mu - 1) <= lattice.DEFAULT_ENUM_BUDGET
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", "80")
+        monkeypatch.setattr(museq, "_dot_bitsets", no_bitsets)
+        with pytest.raises(ResourceBudgetError, match="after 3 entries is too large") as refused:
+            museq.forbidden_values(SVector((1, 2, 3)), 10)
+        assert refused.value.estimate == 3 * 9 * 3 == museq._step_work(SVector((1, 2, 3)), 10)
 
 
 def set_walk(values, start):
@@ -349,6 +324,13 @@ class TestFirstGap:
         assert museq._first_gap([2, 3, 4], 1) == 1  # gap at the start
         assert museq._first_gap([1, 2, 3], 1) == 4  # gap past every value
         assert museq._first_gap([1, 2, 4, 5], 2) == 3
+
+
+def counted_steps(monkeypatch):
+    """Wrap `museq.forbidden_values`, called once a greedy step; returns its calls."""
+    calls, step = [], museq.forbidden_values
+    monkeypatch.setattr(museq, "forbidden_values", lambda *a: calls.append(a) or step(*a))
+    return calls
 
 
 class TestGreedy:
@@ -399,16 +381,42 @@ class TestGreedy:
         with pytest.raises(InputError, match="the basis is empty"):
             museq.certify(SVector((1,)), 3)
 
-    def test_huge_dimension_refused_up_front(self):
-        with pytest.raises(ResourceBudgetError, match="rank 1000000"):
+    def test_huge_dimension_refused_after_25_steps(self, monkeypatch):
+        # s = (1, 2, ..., i + 1) at mu = 3 has 2 rows and 2 x, and 2 B + 1 < 4096
+        # bits until i = 25: a step costs 4 (i + 1) units, the first 2
+        steps = counted_steps(monkeypatch)
+        with pytest.raises(ResourceBudgetError, match="1000000 is too large after 25 steps") as refused:
             museq.greedy_sequence(3, 10**6)
+        assert len(steps) == 25
+        spent = 2 + sum(4 * (i + 1) for i in range(1, 25))
+        assert refused.value.estimate == spent + (10**6 - 25) * 4 * 26 > lattice.DEFAULT_ENUM_BUDGET
 
-    def test_last_half_ball_refused_before_the_first_step(self, monkeypatch):
-        def step(*args):
-            raise AssertionError("a greedy step ran")
-        monkeypatch.setattr(museq, "forbidden_values", step)
-        with pytest.raises(ResourceBudgetError, match="in dimension 4 is too large"):
+    def test_budget_bounds_the_work_of_the_steps_left(self, monkeypatch):
+        # mu = 2: step i costs i + 1 units, and the 10 steps to dimension 10 cost 55
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", "55")
+        assert museq.greedy_sequence(2, 10).s.entries == (1,) * 11
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", "54")
+        with pytest.raises(ResourceBudgetError, match="after 9 steps") as refused:
+            museq.greedy_sequence(2, 10)
+        assert refused.value.estimate == 55
+
+    def test_refused_by_the_step_it_would_make(self, monkeypatch):
+        # two steps run; the third step's bitsets are over 64 times the budget
+        steps = counted_steps(monkeypatch)
+        with pytest.raises(ResourceBudgetError, match="bitsets of 2261183278941 bits"):
             museq.greedy_sequence(70000, 3)
+        assert len(steps) == 2
+
+    def test_admitted_by_their_steps_alone(self, monkeypatch):
+        # the bench greedy ladder, with no rank rule and no half-ball count
+        def refuse(*args):
+            raise AssertionError("a rank or half-ball rule ran")
+
+        monkeypatch.setattr(lattice, "check_rank", refuse)
+        monkeypatch.setattr(museq, "_check_half_ball", refuse)
+        for mu, dim in ((2, 10), (3, 8), (4, 12), (6, 9), (8, 9), (10, 9), (12, 8), (14, 8),
+                        (16, 7)):
+            assert len(museq.greedy_sequence(mu, dim).s.entries) == dim + 1
 
     def test_density_bound_holds(self):
         for mu in (2, 3, 6):
@@ -529,3 +537,62 @@ class TestObstructions:
         blocked = set(report.union)
         for t in interval.integers():
             assert museq.certify(s.extended(t), mu) == (t not in blocked)
+
+
+class TestHalfBallBudget:
+    """The rule that admits `interval_obstructions`' counting table."""
+
+    def test_budget_counts_the_work_exactly(self, monkeypatch):
+        # the readers' work is the pairs (z, k), k >= 1, |z|^2 + k^2 <= mu - 1:
+        # the bound (about 6000) is over the budget, the exact count is not
+        s = SVector((1,) * 5)
+        interval = museq.IntervalSpec.from_bounds(1, 10, 10, 5)
+        pairs = sum(c * math.isqrt(9 - m)
+                    for m, c in enumerate(numth.theta_coefficients(5, 9)))
+        assert pairs == sum(math.isqrt(9 - sum(x * x for x in z))
+                            for z in itertools.product(range(-3, 4), repeat=5)
+                            if sum(x * x for x in z) <= 9)
+        assert pairs < numth.ball_point_count_bound(6, 9) / 2
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(pairs))
+        check_against_oracle(s, 10, interval)
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", str(pairs - 1))
+        with pytest.raises(ResourceBudgetError) as refused:
+            museq.interval_obstructions(s, 10, interval)
+        assert refused.value.estimate == pairs
+
+    def test_bound_refuses_when_the_count_is_dear(self, monkeypatch):
+        # the exact count's n mu (isqrt(mu - 1) + 1) steps are over the budget
+        monkeypatch.setenv("LATPACK_ENUM_BUDGET", "100")
+        interval = museq.IntervalSpec.from_bounds(1, 10, 10, 5)
+        with pytest.raises(ResourceBudgetError) as refused:
+            museq.interval_obstructions(SVector((1,) * 5), 10, interval)
+        assert refused.value.estimate == numth.ball_point_count_bound(6, 9) / 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 300))
+    def test_pairs_lower_bound_below_the_count(self, n, top):
+        pairs = sum(c * math.isqrt(top - m)
+                    for m, c in enumerate(numth.theta_coefficients(n, top)))
+        assert museq._pairs_lower_bound(n, top) <= pairs
+
+    def test_lower_bound_refuses_before_counting(self, monkeypatch):
+        # 1.2e10 pairs: the exact count's 5.6e7 steps are under the default
+        # budget, but the lower bound refuses before they start
+        def no_count(*args):
+            raise AssertionError("theta_coefficients called")
+
+        monkeypatch.delenv("LATPACK_ENUM_BUDGET", raising=False)
+        monkeypatch.setattr(numth, "theta_coefficients", no_count)
+        interval = museq.IntervalSpec.from_bounds(1, 10, 70000, 3)
+        with pytest.raises(ResourceBudgetError) as refused:
+            museq.interval_obstructions(SVector((1, 2, 3)), 70000, interval)
+        assert refused.value.estimate == museq._pairs_lower_bound(3, 69999)
+        assert refused.value.estimate > lattice.DEFAULT_ENUM_BUDGET
+
+    def test_lower_bound_admits_every_ball_that_runs(self):
+        # the obstruction tables of every prefix of these greedy rows
+        rows = [(mu, 12) for mu in range(2, 17)]
+        rows += [(5, 24), (6, 20), (8, 16), (4, 40), (3, 60)]
+        for mu, dim in rows:
+            for n in range(1, dim + 1):
+                assert museq._pairs_lower_bound(n, mu - 1) <= lattice.DEFAULT_ENUM_BUDGET

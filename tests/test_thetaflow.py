@@ -87,6 +87,13 @@ class TestPsi:
                               capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
 
+    def test_top_of_float_range(self):
+        # from max_float / 4 on, the ends of the bracket (2t, 2t + 2) sum past
+        # max_float; the root, about 2t + 1, rounds to 2t
+        top = sys.float_info.max
+        for t in (top / 4, 5e307, 8.9e307, math.nextafter(top / 2, 0.0)):
+            assert thetaflow.psi(t) == 2.0 * t
+
 
 class TestOmega:
     def test_value_at_two(self):
